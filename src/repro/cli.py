@@ -1036,6 +1036,8 @@ def cmd_campaigns(args) -> int:
 
 
 def cmd_status(args) -> int:
+    import json
+
     from repro.runner import read_status, render_status
 
     target = Path(args.path)
@@ -1047,8 +1049,11 @@ def cmd_status(args) -> int:
         return 2
     try:
         status = read_status(target)
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
         print(f"status: {target} is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"status: {target}: {exc}", file=sys.stderr)
         return 2
     print(render_status(status))
     return 0

@@ -198,8 +198,9 @@ def schedule_from_mapping(data: Mapping) -> FaultSchedule:
             f"unknown fault schedule keys {unknown}; known: {sorted(known)}"
         )
     faults = []
-    for entry in data.get("fault", ()):
-        entry = dict(entry)
+    for index, entry in enumerate(data.get("fault", ())):
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"[[fault]] entry {index} is not a table")
         entry_known = {"kind", "target", "start", "duration", "params"}
         entry_unknown = sorted(set(entry) - entry_known)
         if entry_unknown:
@@ -207,6 +208,12 @@ def schedule_from_mapping(data: Mapping) -> FaultSchedule:
                 f"unknown [[fault]] keys {entry_unknown}; "
                 f"known: {sorted(entry_known)}"
             )
+        for required in ("kind", "target"):
+            if required not in entry:
+                raise ValueError(
+                    f"[[fault]] entry {index} is missing required key "
+                    f"{required!r}"
+                )
         faults.append(FaultSpec.make(
             entry["kind"],
             entry["target"],

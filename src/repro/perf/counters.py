@@ -85,14 +85,12 @@ def snapshot() -> dict:
 
 
 def batch_summary() -> Dict[str, float]:
-    """Derived statistics of the batched/vectorised kernels.
+    """Derived statistics of the batched kernels and memos.
 
-    Ratios are computed from the raw counters (average live transmissions
-    per vectorised interference sweep, average candidate trees per numpy
-    canopy sweep, average records per AEAD batch, cache hit rates) so a
-    profile run shows at a glance whether the batch paths actually engage
-    and how large their batches are.  Returns an empty dict when none of
-    the batch counters fired.
+    Ratios are computed from the raw counters (average records per AEAD
+    batch, canopy memo hit rate, timer slot reuse) so a profile run shows
+    at a glance whether the batch paths actually engage and how large their
+    batches are.  Returns an empty dict when none of the counters fired.
     """
     c = _counts
     out: Dict[str, float] = {}
@@ -102,18 +100,10 @@ def batch_summary() -> Dict[str, float]:
         if d:
             out[key] = round(c.get(num, 0) / d, 2)
 
-    ratio("interference.live_per_batch_sweep",
-          "medium.interference_batch_live", "medium.interference_batch_queries")
-    ratio("canopy.trees_per_batch_sweep",
-          "world.canopy_batch_trees", "world.canopy_batch_sweeps")
     ratio("crypto.records_per_seal_batch",
           "crypto.seal_batch_frames", "crypto.seal_batches")
     ratio("crypto.records_per_open_batch",
           "crypto.open_batch_frames", "crypto.open_batches")
-    hits = c.get("medium.query_cache_hit", 0)
-    queries = c.get("medium.interference_queries", 0)
-    if queries:
-        out["interference.query_cache_hit_rate"] = round(hits / queries, 3)
     canopy_hits = c.get("world.canopy_cache_hit", 0)
     canopy_total = canopy_hits + c.get("world.canopy_cache_miss", 0)
     if canopy_total:

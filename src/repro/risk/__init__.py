@@ -17,7 +17,8 @@ package encodes both calculi executably:
 * :mod:`repro.risk.tara` — the assembled TARA pipeline;
 * :mod:`repro.risk.cal` — cybersecurity assurance level determination;
 * :mod:`repro.risk.iec62443` — zones, conduits, SL-T/SL-A and gap analysis;
-* :mod:`repro.risk.attack_graphs` — attack-path graph analysis (networkx);
+* :mod:`repro.risk.attack_graphs` — attack-path graph analysis (networkx;
+  imported from its module, never loaded by the package);
 * :mod:`repro.risk.treatment` — risk treatment and residual risk.
 """
 
@@ -36,7 +37,6 @@ from repro.risk.matrix import risk_value
 from repro.risk.tara import Tara, TaraResult, ThreatAssessment
 from repro.risk.cal import CaLevel, determine_cal
 from repro.risk.iec62443 import SecurityLevel, Zone, Conduit, ZoneModel
-from repro.risk.attack_graphs import AttackGraph
 from repro.risk.treatment import RiskTreatment, TreatmentDecision, TreatmentPlan
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "Zone",
     "Conduit",
     "ZoneModel",
-    "AttackGraph",
     "RiskTreatment",
     "TreatmentDecision",
     "TreatmentPlan",

@@ -224,8 +224,19 @@ class SweepMonitor:
 
 
 def read_status(path: os.PathLike) -> dict:
-    """Load a ``status.json`` written by :meth:`SweepMonitor.write_status`."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a ``status.json`` written by :meth:`SweepMonitor.write_status`.
+
+    Raises :class:`ValueError` when the file is not JSON or is JSON of
+    anything but a status snapshot of the current :data:`STATUS_SCHEMA`.
+    """
+    status = json.loads(Path(path).read_text(encoding="utf-8"))
+    schema = status.get("schema") if isinstance(status, dict) else None
+    if schema != STATUS_SCHEMA:
+        raise ValueError(
+            f"not a status snapshot (schema {schema!r}; "
+            f"expected {STATUS_SCHEMA})"
+        )
+    return status
 
 
 def progress_line(status: dict) -> str:

@@ -16,11 +16,6 @@ from repro.sim.geometry import Segment, Vec2
 from repro.sim.rng import RngStreams
 from repro.sim.terrain import Terrain, generate_terrain
 
-try:  # numpy accelerates bulk canopy-intersection sweeps; scalar path remains
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional accelerator
-    _np = None
-
 
 @dataclass(frozen=True, slots=True)
 class Tree:
@@ -76,11 +71,10 @@ class World:
     #: bound.  Hot static-link keys are touched every frame, so eviction
     #: only sheds one-shot keys from moving endpoints.
     _CANOPY_CACHE_MAX = 65536
-    #: minimum candidate-tree count for the vectorised canopy sweep; below
-    #: this the numpy call overhead beats the plain loop (measured breakeven
-    #: on a single-vCPU host is ~150 candidates — numpy ufunc dispatch costs
-    #: several microseconds per op, so short sweeps stay scalar)
-    _CANOPY_BATCH_MIN = 160
+    #: capacity of each cell-rectangle candidate memo (canopy and trunk);
+    #: keys only change when an endpoint crosses a 10 m cell boundary, so
+    #: even fleet-scale scenarios stay far below this
+    _RECT_CACHE_MAX = 4096
 
     def __init__(
         self,
@@ -93,22 +87,16 @@ class World:
         self.zones: Dict[str, Zone] = {}
         self._grid: Dict[Tuple[int, int], List[Tree]] = {}
         self._canopy_cache: Dict[Tuple[int, int, int, int], float] = {}
-        # lazily-built per-cell (x, y, canopy_radius) numpy arrays for the
-        # vectorised canopy sweep; invalidated whenever the forest changes
-        self._cell_arrays: Dict[Tuple[int, int], tuple] = {}
-        # lazily-built per-cell flat tuple lists for the scalar sweeps:
+        # lazily-built per-cell flat tuple lists for the sweeps:
         # (x, y, canopy_radius) and (x, y, trunk_radius) — iterating plain
         # floats beats touching Tree attributes per query
         self._cell_canopy: Dict[Tuple[int, int], List[Tuple[float, float, float]]] = {}
         self._cell_trunk: Dict[Tuple[int, int], List[Tuple[float, float, float]]] = {}
-        # memo of concatenated candidate columns per scanned cell set —
-        # consecutive queries from a moving observer scan the same cells
-        self._concat_cache: Dict[tuple, tuple] = {}
         # memo of combined candidate lists per scanned cell *rectangle*:
         # a moving endpoint shifts its bbox by centimetres per tick, so the
         # 10 m cell rectangle — and therefore the candidate set, in scan
         # order — is identical across many consecutive queries
-        self._rect_canopy: Dict[Tuple[int, int, int, int], tuple] = {}
+        self._rect_canopy: Dict[Tuple[int, int, int, int], List[Tuple[float, float, float]]] = {}
         self._rect_trunk: Dict[Tuple[int, int, int, int], List[Tuple[float, float, float]]] = {}
         for tree in trees or []:
             self.add_tree(tree)
@@ -128,10 +116,8 @@ class World:
         self._grid.setdefault(self._cell(tree.position), []).append(tree)
         # the forest changed: every memoised sight line is stale
         self._canopy_cache.clear()
-        self._cell_arrays.clear()
         self._cell_canopy.clear()
         self._cell_trunk.clear()
-        self._concat_cache.clear()
         self._rect_canopy.clear()
         self._rect_trunk.clear()
 
@@ -231,19 +217,6 @@ class World:
         cache[key] = total
         return total
 
-    def _cell_array(self, key: Tuple[int, int]):
-        """Cached (x, y, canopy_radius) numpy columns for one grid cell."""
-        arrays = self._cell_arrays.get(key)
-        if arrays is None:
-            bucket = self._grid[key]
-            arrays = (
-                _np.array([t.position.x for t in bucket]),
-                _np.array([t.position.y for t in bucket]),
-                _np.array([t.canopy_radius for t in bucket]),
-            )
-            self._cell_arrays[key] = arrays
-        return arrays
-
     def _canopy_blockage_uncached(self, observer: Vec2, target: Vec2) -> float:
         # raw-float inline of Segment.circle_intersection_params over the
         # candidate trees — identical arithmetic, no per-tree allocations
@@ -280,12 +253,11 @@ class World:
             int(min_x // cell), int(max_x // cell),
             int(min_y // cell), int(max_y // cell),
         )
-        cached = self._rect_canopy.get(rect)
-        if cached is None:
+        combined = self._rect_canopy.get(rect)
+        if combined is None:
             grid = self._grid
             tuples_map = self._cell_canopy
-            keys: List[Tuple[int, int]] = []
-            combined: List[Tuple[float, float, float]] = []
+            combined = []
             for gx in range(rect[0], rect[1] + 1):
                 for gy in range(rect[2], rect[3] + 1):
                     key = (gx, gy)
@@ -298,16 +270,10 @@ class World:
                             (t.position.x, t.position.y, t.canopy_radius)
                             for t in bucket
                         ]
-                    keys.append(key)
                     combined.extend(flat)
             if len(self._rect_canopy) >= self._RECT_CACHE_MAX:
                 self._rect_canopy.clear()
-            cached = self._rect_canopy[rect] = (combined, keys)
-        combined, keys = cached
-        if _np is not None and len(combined) >= self._CANOPY_BATCH_MIN:
-            return self._canopy_blockage_batch(
-                keys, ax, ay, dx, dy, seg_norm_sq, length
-            )
+            self._rect_canopy[rect] = combined
         for cx, cy, radius in combined:
             fx = ax - cx
             fy = ay - cy
@@ -324,71 +290,6 @@ class World:
             if lo > hi:
                 continue
             total += (hi - lo) * length
-        return total
-
-    #: capacity of the concatenated-candidate-columns memo
-    _CONCAT_CACHE_MAX = 256
-
-    #: capacity of each cell-rectangle candidate memo (canopy and trunk);
-    #: keys only change when an endpoint crosses a 10 m cell boundary, so
-    #: even fleet-scale scenarios stay far below this
-    _RECT_CACHE_MAX = 4096
-
-    def _canopy_blockage_batch(
-        self,
-        keys: List[Tuple[int, int]],
-        ax: float,
-        ay: float,
-        dx: float,
-        dy: float,
-        seg_norm_sq: float,
-        length: float,
-    ) -> float:
-        """Vectorised canopy sweep, bit-identical to the scalar loop.
-
-        Candidate cells arrive in :meth:`_trees_near` scan order and their
-        cached numpy columns are concatenated (memoised per cell set), so
-        candidates appear in the identical sequence.  Only exact IEEE-754
-        elementwise ops (``+ - * / sqrt`` and comparisons) are used, skipped
-        candidates contribute an exact ``+0.0``, and the final accumulation
-        folds sequentially — every float matches the scalar path bit for bit.
-        """
-        if perf.ACTIVE:
-            perf.incr("world.canopy_batch_sweeps")
-        concat_key = tuple(keys)
-        arrays = self._concat_cache.get(concat_key)
-        if arrays is None:
-            if len(keys) == 1:
-                arrays = self._cell_array(keys[0])
-            else:
-                parts = [self._cell_array(k) for k in keys]
-                arrays = (
-                    _np.concatenate([p[0] for p in parts]),
-                    _np.concatenate([p[1] for p in parts]),
-                    _np.concatenate([p[2] for p in parts]),
-                )
-            if len(self._concat_cache) >= self._CONCAT_CACHE_MAX:
-                self._concat_cache.clear()
-            self._concat_cache[concat_key] = arrays
-        xs, ys, rs = arrays
-        if perf.ACTIVE:
-            perf.incr("world.canopy_batch_trees", len(xs))
-        fx = ax - xs
-        fy = ay - ys
-        b_coef = 2.0 * (fx * dx + fy * dy)
-        c = (fx * fx + fy * fy) - rs * rs
-        disc = b_coef * b_coef - 4.0 * seg_norm_sq * c
-        valid = disc >= 0.0
-        sqrt_disc = _np.sqrt(_np.where(valid, disc, 0.0))
-        t0 = (-b_coef - sqrt_disc) / (2.0 * seg_norm_sq)
-        t1 = (-b_coef + sqrt_disc) / (2.0 * seg_norm_sq)
-        lo = _np.where(t0 > 0.0, t0, 0.0)
-        hi = _np.where(t1 < 1.0, t1, 1.0)
-        valid &= lo <= hi
-        terms = _np.where(valid, (hi - lo) * length, 0.0)
-        total = 0.0
-        for v in terms.tolist():
-            total += v
         return total
 
     def trunk_blocks(self, observer: Vec2, target: Vec2) -> bool:

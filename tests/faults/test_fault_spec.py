@@ -131,6 +131,22 @@ class TestScheduleLoading:
                 "fault": [{"kind": "node_crash", "target": "d", "begin": 1}],
             })
 
+    @pytest.mark.parametrize("missing", ["kind", "target"])
+    def test_missing_required_key_names_entry_and_key(self, missing):
+        entries = [
+            {"kind": "node_crash", "target": "drone", "start": 10},
+            {"kind": "node_crash", "target": "drone", "start": 20},
+        ]
+        del entries[1][missing]
+        with pytest.raises(
+            ValueError, match=rf"\[\[fault\]\] entry 1 .*'{missing}'"
+        ):
+            schedule_from_mapping({"fault": entries})
+
+    def test_non_table_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"entry 0 is not a table"):
+            schedule_from_mapping({"fault": ["node_crash"]})
+
     def test_example_storm_file_loads(self):
         schedule = load_fault_schedule("examples/faults_storm.toml")
         assert len(schedule) == 7

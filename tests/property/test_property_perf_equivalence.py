@@ -29,7 +29,7 @@ from repro.comms.crypto.secure_channel import (
     SecurityProfile,
     nonce_from_sequence,
 )
-from repro.comms.medium import WirelessMedium
+from repro.comms.medium import Jammer, WirelessMedium
 from repro.comms.radio import (
     RadioConfig,
     combine_noise_dbm,
@@ -249,6 +249,32 @@ class TestInterferenceIndexEquivalence:
                 assert medium.interference_at(
                     query, channel, now
                 ) == ref_interference(all_tx, [], query, channel, now)
+
+    @given(entries=tx_entries, qx=coords, qy=coords, jx=coords, jy=coords,
+           jam_channel=st.sampled_from([None, 1, 2]),
+           channel=st.integers(min_value=1, max_value=3))
+    def test_with_jammer_matches_reference(self, entries, qx, qy, jx, jy,
+                                           jam_channel, channel):
+        # jammer terms are folded ahead of the co-channel transmissions
+        medium = make_medium()
+        medium.add_jammer(
+            Jammer("j", lambda: Vec2(jx, jy), power_dbm=20.0,
+                   channel=jam_channel)
+        )
+        all_tx = []
+        last_start = 0.0
+        for start, air, x, y, power, ch in sorted(entries, key=lambda e: e[0]):
+            pos = Vec2(x, y)
+            medium._record_tx(
+                start, air, _Src(pos), RadioConfig(channel=ch, tx_power_dbm=power)
+            )
+            all_tx.append((start + air, pos, power, ch))
+            last_start = start
+        query = Vec2(qx, qy)
+        for lead in (0.0, 0.5, 30.0):
+            now = last_start + lead
+            assert medium.interference_at(query, channel, now) == \
+                ref_interference(all_tx, medium.jammers, query, channel, now)
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,8 @@ snapshots, including that a recorded sequence replays to an identical
 
 import json
 
+import pytest
+
 from repro.runner import SweepMonitor, progress_line, read_status, render_status
 from repro.runner.monitor import (
     MIN_COMPLETED_FOR_STALL,
@@ -216,6 +218,16 @@ class TestStatusFile:
         assert written == target
         assert read_status(target) == monitor.snapshot(now=45.0)
         assert not target.with_name("status.json.tmp").exists()
+
+    @pytest.mark.parametrize("payload", [
+        '{"total": 3, "done": 3}', '[1, 2]', '{"schema": 1}',
+    ])
+    def test_read_rejects_json_that_is_not_a_snapshot(self, tmp_path,
+                                                      payload):
+        target = tmp_path / "status.json"
+        target.write_text(payload)
+        with pytest.raises(ValueError, match="not a status snapshot"):
+            read_status(target)
 
     def test_snapshot_reproducible_from_recorded_events(self, tmp_path):
         """The acceptance property: replaying a recorded heartbeat/event

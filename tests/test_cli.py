@@ -100,6 +100,15 @@ class TestCommands:
         assert main(["attack", "zero_day"]) == 2
         assert "unknown campaign" in capsys.readouterr().err
 
+    def test_run_fault_entry_without_target_exits_2(self, tmp_path, capsys):
+        faults = tmp_path / "faults.toml"
+        faults.write_text('[[fault]]\nkind = "node_crash"\nstart = 5.0\n')
+        assert main(["run", "--seed", "3", "--minutes", "1",
+                     "--faults", str(faults)]) == 2
+        err = capsys.readouterr().err
+        assert "fault schedule error" in err
+        assert "entry 0" in err and "'target'" in err
+
     def test_attack_short(self, capsys):
         assert main([
             "attack", "message_injection", "--seed", "3", "--minutes", "4",
@@ -457,6 +466,14 @@ class TestStatusCommand:
         capsys.readouterr()
         assert main(["status", str(tmp_path / "status.json")]) == 0
         assert "1/1 done" in capsys.readouterr().out
+
+    def test_status_rejects_json_that_is_not_a_snapshot(self, tmp_path,
+                                                        capsys):
+        (tmp_path / "status.json").write_text('{"total": 5}\n')
+        assert main(["status", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "not a status snapshot" in captured.err
+        assert "done" not in captured.out
 
     def test_status_missing_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["status", str(tmp_path)]) == 2
