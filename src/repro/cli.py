@@ -295,7 +295,11 @@ def cmd_trace(args) -> int:
     from repro.telemetry.analysis import full_report
 
     if args.analyze:
-        records = read_trace(args.analyze)
+        try:
+            records = read_trace(args.analyze)
+        except (OSError, ValueError) as exc:
+            print(f"trace error: {exc}", file=sys.stderr)
+            return 2
         if args.check:
             problems = validate_trace(records)
             if problems:
@@ -811,9 +815,9 @@ def cmd_sweep(args) -> int:
         print("sweep spec expands to zero runs", file=sys.stderr)
         return 2
     if args.campaign_db:
-        from repro.runner import CampaignStore
-
-        campaign_store = CampaignStore(args.campaign_db)
+        campaign_store = _open_campaign_store(args.campaign_db)
+        if campaign_store is None:
+            return 2
         name = args.campaign_name
         campaign_store.ensure_campaign(name, specs,
                                        meta={"source": "sweep"})
@@ -892,14 +896,25 @@ def _grid_requested(args) -> bool:
     )
 
 
-def cmd_campaign_start(args) -> int:
+def _open_campaign_store(db):
+    """The campaign store at ``db``, or None after printing why not."""
     from repro.runner import CampaignStore
 
+    try:
+        return CampaignStore(db)
+    except ValueError as exc:
+        print(f"campaign error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_campaign_start(args) -> int:
     if args.jobs < 1:
         print(f"campaign error: --jobs must be >= 1, got {args.jobs}",
               file=sys.stderr)
         return 2
-    store = CampaignStore(args.db)
+    store = _open_campaign_store(args.db)
+    if store is None:
+        return 2
     if store.campaign_id(args.name) is not None:
         print(f"campaign {args.name!r} already exists in {args.db}; "
               "use 'campaign resume' to continue it", file=sys.stderr)
@@ -929,13 +944,13 @@ def cmd_campaign_start(args) -> int:
 
 
 def cmd_campaign_resume(args) -> int:
-    from repro.runner import CampaignStore
-
     if args.jobs < 1:
         print(f"campaign error: --jobs must be >= 1, got {args.jobs}",
               file=sys.stderr)
         return 2
-    store = CampaignStore(args.db)
+    store = _open_campaign_store(args.db)
+    if store is None:
+        return 2
     try:
         specs = store.specs(args.name)
     except ValueError as exc:
@@ -945,9 +960,9 @@ def cmd_campaign_resume(args) -> int:
 
 
 def cmd_campaign_list(args) -> int:
-    from repro.runner import CampaignStore
-
-    store = CampaignStore(args.db)
+    store = _open_campaign_store(args.db)
+    if store is None:
+        return 2
     campaigns = store.list_campaigns()
     if not campaigns:
         print(f"no campaigns in {args.db}")
@@ -964,9 +979,9 @@ def cmd_campaign_list(args) -> int:
 
 
 def cmd_campaign_show(args) -> int:
-    from repro.runner import CampaignStore
-
-    store = CampaignStore(args.db)
+    store = _open_campaign_store(args.db)
+    if store is None:
+        return 2
     try:
         detail = store.show(args.name)
     except ValueError as exc:

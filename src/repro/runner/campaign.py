@@ -78,16 +78,31 @@ CREATE INDEX IF NOT EXISTS idx_attempts_cell
 
 
 class CampaignStore:
-    """SQLite-backed store for durable, resumable sweep campaigns."""
+    """SQLite-backed store for durable, resumable sweep campaigns.
+
+    Opening a path that is not a SQLite database (or cannot be opened as
+    one) raises :class:`ValueError` naming the file.
+    """
 
     def __init__(self, path: os.PathLike, *,
                  clock: Optional[callable] = None) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._clock = clock if clock is not None else time.time
-        with closing(self._connect()) as conn, conn:
-            conn.executescript(_SCHEMA)
-            conn.execute(f"PRAGMA user_version = {CAMPAIGN_SCHEMA}")
+        try:
+            # SQLite adopts (and overwrites) some short non-database files
+            # instead of refusing them, so check the header ourselves
+            if self.path.is_file() and self.path.stat().st_size:
+                with self.path.open("rb") as fh:
+                    if fh.read(16) != b"SQLite format 3\x00":
+                        raise sqlite3.DatabaseError("file is not a database")
+            with closing(self._connect()) as conn, conn:
+                conn.executescript(_SCHEMA)
+                conn.execute(f"PRAGMA user_version = {CAMPAIGN_SCHEMA}")
+        except sqlite3.DatabaseError as exc:
+            raise ValueError(
+                f"{self.path}: not a campaign database ({exc})"
+            ) from None
 
     def _connect(self) -> sqlite3.Connection:
         # one short-lived connection per operation: nothing to invalidate

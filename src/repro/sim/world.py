@@ -53,6 +53,36 @@ class Zone:
         )
 
 
+#: flat ``(x, y, radius)`` tuples of the trees a sweep iterates
+_Candidates = List[Tuple[float, float, float]]
+
+
+@dataclass(slots=True)
+class _CorridorIndex:
+    """Candidate memo of one sight-line sweep (canopy or trunk).
+
+    ``corridors`` maps a corridor key (see :meth:`World._corridor`) to the
+    flat ``(x, y, radius)`` tuples a sight line with that key can reach;
+    ``cells`` holds each grid cell's tuples so corridors share them —
+    iterating plain floats beats touching Tree attributes per query.
+    """
+
+    pad: float  # bounding-box pad of the sweep, metres
+    radius: str  # the Tree attribute the sweep tests against
+    max_radius: float = 0.0
+    corridors: Dict[Tuple[int, int, int, int, bool], _Candidates] = field(
+        default_factory=dict
+    )
+    cells: Dict[Tuple[int, int], _Candidates] = field(default_factory=dict)
+
+    def add(self, radius: float) -> None:
+        """Account for a new tree: widen the reach, drop every memo."""
+        if radius > self.max_radius:
+            self.max_radius = radius
+        self.corridors.clear()
+        self.cells.clear()
+
+
 class World:
     """The worksite: terrain + trees + zones, with spatial queries.
 
@@ -71,9 +101,9 @@ class World:
     #: bound.  Hot static-link keys are touched every frame, so eviction
     #: only sheds one-shot keys from moving endpoints.
     _CANOPY_CACHE_MAX = 65536
-    #: capacity of each cell-rectangle candidate memo (canopy and trunk);
-    #: keys only change when an endpoint crosses a 10 m cell boundary, so
-    #: even fleet-scale scenarios stay far below this
+    #: capacity of each corridor memo (canopy and trunk); keys only change
+    #: when an endpoint crosses a 10 m cell boundary, so even fleet-scale
+    #: scenarios stay far below this
     _RECT_CACHE_MAX = 4096
 
     def __init__(
@@ -87,17 +117,8 @@ class World:
         self.zones: Dict[str, Zone] = {}
         self._grid: Dict[Tuple[int, int], List[Tree]] = {}
         self._canopy_cache: Dict[Tuple[int, int, int, int], float] = {}
-        # lazily-built per-cell flat tuple lists for the sweeps:
-        # (x, y, canopy_radius) and (x, y, trunk_radius) — iterating plain
-        # floats beats touching Tree attributes per query
-        self._cell_canopy: Dict[Tuple[int, int], List[Tuple[float, float, float]]] = {}
-        self._cell_trunk: Dict[Tuple[int, int], List[Tuple[float, float, float]]] = {}
-        # memo of combined candidate lists per scanned cell *rectangle*:
-        # a moving endpoint shifts its bbox by centimetres per tick, so the
-        # 10 m cell rectangle — and therefore the candidate set, in scan
-        # order — is identical across many consecutive queries
-        self._rect_canopy: Dict[Tuple[int, int, int, int], List[Tuple[float, float, float]]] = {}
-        self._rect_trunk: Dict[Tuple[int, int, int, int], List[Tuple[float, float, float]]] = {}
+        self._canopy_index = _CorridorIndex(pad=5.0, radius="canopy_radius")
+        self._trunk_index = _CorridorIndex(pad=1.0, radius="trunk_radius")
         for tree in trees or []:
             self.add_tree(tree)
         for zone in zones or []:
@@ -116,10 +137,8 @@ class World:
         self._grid.setdefault(self._cell(tree.position), []).append(tree)
         # the forest changed: every memoised sight line is stale
         self._canopy_cache.clear()
-        self._cell_canopy.clear()
-        self._cell_trunk.clear()
-        self._rect_canopy.clear()
-        self._rect_trunk.clear()
+        self._canopy_index.add(tree.canopy_radius)
+        self._trunk_index.add(tree.trunk_radius)
 
     def add_zone(self, zone: Zone) -> None:
         if zone.name in self.zones:
@@ -240,41 +259,7 @@ class World:
                 if math.hypot(ax - center.x, ay - center.y) <= tree.canopy_radius:
                     total += length
             return total
-        # candidate lookup through the cell-rectangle memo: the bbox only
-        # crosses a 10 m cell boundary every few hundred ticks of movement,
-        # so the combined candidate list (in _trees_near x-major scan order)
-        # is reused without touching the grid at all
-        cell = self._CELL
-        min_x = (ax if ax < bx else bx) - 5.0
-        max_x = (ax if ax > bx else bx) + 5.0
-        min_y = (ay if ay < by else by) - 5.0
-        max_y = (ay if ay > by else by) + 5.0
-        rect = (
-            int(min_x // cell), int(max_x // cell),
-            int(min_y // cell), int(max_y // cell),
-        )
-        combined = self._rect_canopy.get(rect)
-        if combined is None:
-            grid = self._grid
-            tuples_map = self._cell_canopy
-            combined = []
-            for gx in range(rect[0], rect[1] + 1):
-                for gy in range(rect[2], rect[3] + 1):
-                    key = (gx, gy)
-                    flat = tuples_map.get(key)
-                    if flat is None:
-                        bucket = grid.get(key)
-                        if not bucket:
-                            continue
-                        flat = tuples_map[key] = [
-                            (t.position.x, t.position.y, t.canopy_radius)
-                            for t in bucket
-                        ]
-                    combined.extend(flat)
-            if len(self._rect_canopy) >= self._RECT_CACHE_MAX:
-                self._rect_canopy.clear()
-            self._rect_canopy[rect] = combined
-        for cx, cy, radius in combined:
+        for cx, cy, radius in self._corridor(ax, ay, bx, by, self._canopy_index):
             fx = ax - cx
             fy = ay - cy
             b_coef = 2.0 * (fx * dx + fy * dy)
@@ -294,54 +279,35 @@ class World:
 
     def trunk_blocks(self, observer: Vec2, target: Vec2) -> bool:
         """True if a trunk lies directly on the sight line."""
-        # raw-float inline of Segment.distance_to_point over the candidates,
-        # iterating cached per-cell flat tuples in _trees_near scan order
+        # raw-float inline of Segment.distance_to_point over the corridor
         ax, ay = observer.x, observer.y
         bx, by = target.x, target.y
         dx = bx - ax
         dy = by - ay
         denom = dx * dx + dy * dy
+        # off-line reject: a trunk whose centre is farther than its radius
+        # (+1 mm of rounding slack) from the infinite line cannot be within
+        # its radius of the segment.  Degenerate segments skip it and keep
+        # the plain arithmetic below.
+        reject = denom > 1e-6
         hypot = math.hypot
-        cell = self._CELL
-        min_x = (ax if ax < bx else bx) - 1.0
-        max_x = (ax if ax > bx else bx) + 1.0
-        min_y = (ay if ay < by else by) - 1.0
-        max_y = (ay if ay > by else by) + 1.0
-        rect = (
-            int(min_x // cell), int(max_x // cell),
-            int(min_y // cell), int(max_y // cell),
-        )
-        combined = self._rect_trunk.get(rect)
-        if combined is None:
-            grid = self._grid
-            tuples_map = self._cell_trunk
-            combined = []
-            for gx in range(rect[0], rect[1] + 1):
-                for gy in range(rect[2], rect[3] + 1):
-                    key = (gx, gy)
-                    flat = tuples_map.get(key)
-                    if flat is None:
-                        bucket = grid.get(key)
-                        if not bucket:
-                            continue
-                        flat = tuples_map[key] = [
-                            (t.position.x, t.position.y, t.trunk_radius)
-                            for t in bucket
-                        ]
-                    combined.extend(flat)
-            if len(self._rect_trunk) >= self._RECT_CACHE_MAX:
-                self._rect_trunk.clear()
-            self._rect_trunk[rect] = combined
-        for tx, ty, trunk in combined:
+        for tx, ty, trunk in self._corridor(ax, ay, bx, by, self._trunk_index):
+            fx = tx - ax
+            fy = ty - ay
+            if reject:
+                cross = fx * dy - fy * dx
+                slack = trunk + 0.001
+                if cross * cross > slack * slack * denom:
+                    continue
             # Do not let the endpoints' own immediate surroundings count.
-            if hypot(tx - ax, ty - ay) < trunk + 0.1:
+            if hypot(fx, fy) < trunk + 0.1:
                 continue
             if hypot(tx - bx, ty - by) < trunk + 0.1:
                 continue
             if denom == 0.0:
                 dist = hypot(ax - tx, ay - ty)
             else:
-                t = ((tx - ax) * dx + (ty - ay) * dy) / denom
+                t = (fx * dx + fy * dy) / denom
                 if t < 0.0:
                     t = 0.0
                 elif t > 1.0:
@@ -350,6 +316,98 @@ class World:
             if dist <= trunk:
                 return True
         return False
+
+    def _corridor(
+        self, ax: float, ay: float, bx: float, by: float, index: _CorridorIndex
+    ) -> _Candidates:
+        """Candidate ``(x, y, radius)`` tuples the sight line a–b can reach.
+
+        The key is the 10 m cell rectangle of the ``index.pad``-padded
+        bounding box plus one orientation bit (rising or falling line).  A
+        moving endpoint keeps its key until it crosses a cell boundary, so
+        one corridor serves many consecutive queries.  The corridor is a
+        subset of the rectangle's trees in the x-major order of
+        :meth:`_trees_near`, and a superset of every tree within
+        ``index.max_radius`` of any line with this key; see
+        :meth:`_build_corridor`.
+        """
+        cell = self._CELL
+        pad = index.pad
+        key = (
+            int(((ax if ax < bx else bx) - pad) // cell),
+            int(((ax if ax > bx else bx) + pad) // cell),
+            int(((ay if ay < by else by) - pad) // cell),
+            int(((ay if ay > by else by) + pad) // cell),
+            (bx - ax) * (by - ay) >= 0.0,
+        )
+        corridors = index.corridors
+        found = corridors.get(key)
+        if found is None:
+            found = self._build_corridor(key, index)
+            if len(corridors) >= self._RECT_CACHE_MAX:
+                corridors.clear()
+            corridors[key] = found
+        return found
+
+    def _build_corridor(
+        self, key: Tuple[int, int, int, int, bool], index: _CorridorIndex
+    ) -> _Candidates:
+        """The cells of the key's rectangle that a line with this key reaches.
+
+        The rectangle pins each endpoint to a cell-sized square: the low-x
+        endpoint has x in ``[rx0*cell + pad, (rx0+1)*cell + pad)``, the
+        high-x one x in ``[rx1*cell - pad, (rx1+1)*cell - pad)``, and the
+        orientation bit says which of them has the low y.  Every point of a
+        segment between the two squares lies within half a cell diagonal of
+        the segment between their centres, so a tree within ``max_radius``
+        of the sight line lies within ``reach`` of that centre segment; the
+        extra millimetre absorbs float rounding in the key.
+        """
+        rx0, rx1, ry0, ry1, rising = key
+        cell = self._CELL
+        half = 0.5 * cell
+        pad = index.pad
+        px = rx0 * cell + half + pad
+        qx = rx1 * cell + half - pad
+        low_y = ry0 * cell + half + pad
+        high_y = ry1 * cell + half - pad
+        py, qy = (low_y, high_y) if rising else (high_y, low_y)
+        reach = index.max_radius + half * math.sqrt(2.0) + 0.001
+        x_lo, x_hi = (px, qx) if px <= qx else (qx, px)
+        slope = (qy - py) / (qx - px) if qx != px else None
+        grid = self._grid
+        cells = index.cells
+        radius = index.radius
+        found: _Candidates = []
+        for gx in range(rx0, rx1 + 1):
+            # y-extent of the part of the centre segment that comes within
+            # reach of this column, widened by reach
+            xa = max(gx * cell - reach, x_lo)
+            xb = min((gx + 1) * cell + reach, x_hi)
+            if xa > xb:
+                continue
+            if slope is None:  # vertical centre segment
+                ya, yb = py, qy
+            else:
+                ya = py + slope * (xa - px)
+                yb = py + slope * (xb - px)
+            if ya > yb:
+                ya, yb = yb, ya
+            gy_lo = max(ry0, int((ya - reach) // cell))
+            gy_hi = min(ry1, int((yb + reach) // cell))
+            for gy in range(gy_lo, gy_hi + 1):
+                cell_key = (gx, gy)
+                flat = cells.get(cell_key)
+                if flat is None:
+                    bucket = grid.get(cell_key)
+                    if not bucket:
+                        continue
+                    flat = cells[cell_key] = [
+                        (t.position.x, t.position.y, getattr(t, radius))
+                        for t in bucket
+                    ]
+                found.extend(flat)
+        return found
 
     def terrain_blocks(
         self,

@@ -62,9 +62,22 @@ def read_trace(path: os.PathLike) -> List[dict]:
 
 
 def iter_trace(path: os.PathLike) -> Iterator[dict]:
-    """Yield records from a JSONL trace file one at a time."""
+    """Yield records from a JSONL trace file one at a time.
+
+    A line that is not a JSON object (a torn tail, a corrupted byte)
+    raises :class:`ValueError` naming the file and line.
+    """
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: not a JSON record ({exc})"
+                ) from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
+            yield record

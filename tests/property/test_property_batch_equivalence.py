@@ -1,7 +1,7 @@
 """Golden-equivalence properties for the batched kernels and sweep memos.
 
 Batched AEAD sealing, the terrain line-of-sight quick reject and the
-cell-rectangle candidate memos of the canopy and trunk sweeps must be
+corridor candidate memos of the canopy and trunk sweeps must be
 **bit-identical** to their plain counterparts.  The simulator's determinism
 contract is byte-identical replay, so these tests compare with exact ``==``
 on floats and bytes, and finish by digesting a whole worksite run twice.
@@ -190,7 +190,7 @@ class TestTerrainLosEquivalence:
 
 
 # --------------------------------------------------------------------------
-# 3. canopy and trunk rectangle memos
+# 3. canopy and trunk corridor memos
 # --------------------------------------------------------------------------
 
 tree_strategy = st.lists(
@@ -216,7 +216,7 @@ class TestCanopyBatchEquivalence:
     def test_rect_memo_matches_fresh_world_along_path(self, trees, ax, ay,
                                                       steps):
         # a moving sight line re-uses (and occasionally rolls over) the
-        # cell-rectangle memo; every query must match a cache-cold world
+        # corridor memo; every query must match a cache-cold world
         warm = make_world(trees)
         x, y = ax, ay
         observer = Vec2(10.0, 10.0)
@@ -234,7 +234,7 @@ class TestCanopyBatchEquivalence:
     def test_add_tree_invalidates_rect_memo(self, trees, ax, ay, bx, by):
         world = make_world(trees)
         a, b = Vec2(ax, ay), Vec2(bx, by)
-        world._canopy_blockage_uncached(a, b)   # populate rect/cell caches
+        world._canopy_blockage_uncached(a, b)   # populate corridor/cell caches
         mid = Vec2((ax + bx) / 2.0, (ay + by) / 2.0)
         world.add_tree(Tree(position=mid, canopy_radius=3.0))
         fresh = make_world(trees)

@@ -14,7 +14,7 @@ import math
 import struct
 from collections import deque
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.comms.crypto.primitives import (
     aead_decrypt,
@@ -80,6 +80,21 @@ def ref_canopy_blockage(world: World, observer: Vec2, target: Vec2) -> float:
         if params is not None:
             total += (params[1] - params[0]) * length
     return total
+
+
+def ref_trunk_blocks(world: World, observer: Vec2, target: Vec2) -> bool:
+    """Brute-force trunk test over the whole 1 m-padded bounding box."""
+    seg = Segment(observer, target)
+    for tree in world.trees_near_segment(seg, pad=1.0):
+        center, trunk = tree.position, tree.trunk_radius
+        # the endpoints' own immediate surroundings do not count
+        if center.distance_to(observer) < trunk + 0.1:
+            continue
+        if center.distance_to(target) < trunk + 0.1:
+            continue
+        if seg.distance_to_point(center) <= trunk:
+            return True
+    return False
 
 
 def ref_interference(all_tx, jammers, position: Vec2, channel: int,
@@ -360,3 +375,115 @@ class TestCanopyMemoEquivalence:
         assert world.trunk_blocks(Vec2(40.0, 50.0), Vec2(60.0, 50.0))
         assert not world.trunk_blocks(Vec2(40.0, 60.0), Vec2(60.0, 60.0))
         assert not world.trunk_blocks(Vec2(50.2, 50.0), Vec2(60.0, 50.0))
+
+
+# --------------------------------------------------------------------------
+# 6. sight-line corridors
+# --------------------------------------------------------------------------
+
+# endpoints anywhere, or within a millimetre of the offsets where the
+# sweeps' padded bounding boxes cross a 10 m cell boundary: there an
+# endpoint sits at a corner of the square its corridor key pins it to
+spans = st.one_of(
+    st.floats(min_value=-60.0, max_value=160.0, allow_nan=False),
+    st.builds(
+        lambda k, offset, jitter: 10.0 * k + offset + jitter,
+        st.integers(min_value=-6, max_value=16),
+        st.sampled_from([-5.0, -1.0, 1.0, 5.0]),
+        st.floats(min_value=-1e-3, max_value=1e-3),
+    ),
+)
+# second endpoint: independent, or a short offset from the first — with
+# 0.0 axis-aligned, with the middle branch sub-millimetre
+extents = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False),
+    st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
+)
+# per-step translation of the whole line: 0 (a repeated query) or at least
+# 1 cm, so no two distinct steps share a mm-quantised canopy-memo key
+moves = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.01, max_value=4.0),
+    st.floats(min_value=-4.0, max_value=-0.01),
+)
+# trunk radii up to 1.5 m and canopy radii up to 6 m: both beyond the
+# sweeps' 1 m and 5 m bounding-box pads
+radii = st.tuples(
+    st.floats(min_value=0.05, max_value=1.5),
+    st.floats(min_value=0.5, max_value=6.0),
+)
+
+
+@st.composite
+def corridor_cases(draw):
+    """A forest plus a sight line translated step by step (a warm memo)."""
+    ax, ay = draw(spans), draw(spans)
+    if draw(st.booleans()):
+        bx, by = draw(spans), draw(spans)
+    else:
+        bx, by = ax + draw(extents), ay + draw(extents)
+    mx, my = draw(moves), draw(moves)
+    steps = draw(st.integers(min_value=1, max_value=6))
+    path = [
+        (Vec2(ax + mx * i, ay + my * i), Vec2(bx + mx * i, by + my * i))
+        for i in range(steps)
+    ]
+    trees = [
+        Tree(position=Vec2(x, y), trunk_radius=rt, canopy_radius=rc)
+        for x, y, (rt, rc) in draw(st.lists(st.tuples(spans, spans, radii),
+                                            max_size=10))
+    ]
+    # trees just inside their trunk or canopy radius of the first line:
+    # the ones a too-narrow corridor would drop
+    length = math.hypot(bx - ax, by - ay)
+    nx, ny = ((ay - by) / length, (bx - ax) / length) if length else (0.0, 1.0)
+    for t, side, depth, trunk_edge, (rt, rc) in draw(st.lists(
+            st.tuples(st.floats(min_value=-0.1, max_value=1.1),
+                      st.sampled_from([-1.0, 1.0]),
+                      st.floats(min_value=0.0, max_value=0.05),
+                      st.booleans(), radii),
+            min_size=4, max_size=24)):
+        off = side * ((rt if trunk_edge else rc) - depth)
+        trees.append(Tree(
+            position=Vec2(ax + (bx - ax) * t + nx * off,
+                          ay + (by - ay) * t + ny * off),
+            trunk_radius=rt, canopy_radius=rc))
+    return World(Terrain(100.0, 100.0), trees=trees), path
+
+
+class TestCorridorEquivalence:
+    # an example costs ~15 ms, and a corridor that is slightly too narrow
+    # drops a tree in only a few percent of them
+    @settings(max_examples=300)
+    @given(case=corridor_cases())
+    def test_trunk_blocks_matches_brute_force(self, case):
+        world, path = case
+        for a, b in path:
+            assert world.trunk_blocks(a, b) == ref_trunk_blocks(world, a, b)
+            assert world.trunk_blocks(b, a) == ref_trunk_blocks(world, b, a)
+
+    @settings(max_examples=300)
+    @given(case=corridor_cases())
+    def test_canopy_blockage_matches_reference_on_warm_memo(self, case):
+        world, path = case
+        for a, b in path:
+            assert world.canopy_blockage(a, b) == ref_canopy_blockage(world, a, b)
+            # the reverse of a sub-mm line shares its mm-quantised LRU key,
+            # so check it below the LRU (the corridor memo is still warm)
+            assert world._canopy_blockage_uncached(b, a) == \
+                ref_canopy_blockage(world, b, a)
+
+    def test_canopy_wider_than_pad_at_square_corner(self):
+        # both endpoints within 0.1 mm of a corner of their corridor-key
+        # squares, and a 6 m canopy touching the line: it is within reach
+        # only because the reach includes the largest canopy radius
+        world = World(Terrain(100.0, 100.0), trees=[
+            Tree(position=Vec2(19.82561774365428, 47.653245156642754),
+                 canopy_radius=5.9760809606148975),
+        ])
+        a = Vec2(65.00006942845216, 45.00008451886052)
+        b = Vec2(13.302148473802852, 55.00001791694776)
+        expected = ref_canopy_blockage(world, a, b)
+        assert expected > 0.0
+        assert world.canopy_blockage(a, b) == expected

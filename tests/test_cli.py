@@ -199,6 +199,19 @@ class TestTraceCommand:
         assert main(["trace", "--analyze", str(bad), "--check"]) == 1
         assert "schema:" in capsys.readouterr().err
 
+    def test_trace_analyze_torn_trace_is_a_usage_error(self, tmp_path,
+                                                       capsys):
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text('{"v":1,"i":0,"t":0.0,"type":"run.start"}\n'
+                        '{"v":1,"i":1,"t":0.5,"ty\n')
+        assert main(["trace", "--analyze", str(torn)]) == 2
+        err = capsys.readouterr().err
+        assert f"{torn}:2: not a JSON record" in err
+        assert len(err.strip().splitlines()) == 1
+        # check reports the same file and line
+        assert main(["check", "--trace", str(torn)]) == 2
+        assert f"{torn}:2: not a JSON record" in capsys.readouterr().err
+
     def test_trace_spans_records_and_analyzes(self, tmp_path, capsys):
         out = str(tmp_path / "trace.jsonl")
         assert main([
@@ -432,6 +445,18 @@ class TestCampaignCommand:
         out = capsys.readouterr().out
         assert "night" in out
         assert "attempts" in out
+
+    def test_list_on_a_non_sqlite_file_is_a_usage_error(self, tmp_path,
+                                                        capsys):
+        # a one-byte file is one SQLite would silently adopt and overwrite
+        for text in ("this is not a database\n" * 20, "x"):
+            db = tmp_path / "notes.db"
+            db.write_text(text)
+            assert main(["campaign", "list", "--db", str(db)]) == 2
+            err = capsys.readouterr().err
+            assert f"campaign error: {db}: not a campaign database" in err
+            assert len(err.strip().splitlines()) == 1
+            assert db.read_text() == text
 
     def test_start_from_jsonl_import(self, tmp_path, capsys):
         jsonl = str(tmp_path / "legacy.jsonl")
