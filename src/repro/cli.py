@@ -1033,12 +1033,6 @@ def cmd_profile(args) -> int:
         print()
         print("perf counters:")
         print(perf_counters.report())
-        summary = perf_counters.batch_summary()
-        if summary:
-            print()
-            print("batch kernels:")
-            for name in sorted(summary):
-                print(f"{name:<40} {summary[name]}")
     return 0
 
 

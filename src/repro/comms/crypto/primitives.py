@@ -169,62 +169,6 @@ def aead_decrypt_subkeys(
     return stream_xor(enc_key, nonce, ciphertext)
 
 
-def aead_encrypt_batch(
-    enc_key: bytes,
-    mac_key: bytes,
-    nonces: Tuple[bytes, ...],
-    plaintexts: Tuple[bytes, ...],
-    aad: bytes = b"",
-) -> list:
-    """Seal a same-key batch of records; one sealed body per plaintext.
-
-    Byte-identical to calling :func:`aead_encrypt_subkeys` per record, but
-    per-batch costs are paid once: the MAC key schedule is forked from one
-    cached HMAC template, the AAD length prefix is packed once, and every
-    keystream lands in the midstate-CTR LRU so the matching
-    :func:`aead_decrypt_batch` (or per-record opens) regenerate nothing.
-    """
-    mac_template = _hmac_template(mac_key).copy
-    aad_prefixed = _length_prefix(aad)
-    sealed = []
-    append = sealed.append
-    for nonce, plaintext in zip(nonces, plaintexts):
-        ciphertext = stream_xor(enc_key, nonce, plaintext)
-        h = mac_template()
-        h.update(nonce + aad_prefixed + ciphertext)
-        append(ciphertext + h.digest())
-    return sealed
-
-
-def aead_decrypt_batch(
-    enc_key: bytes,
-    mac_key: bytes,
-    nonces: Tuple[bytes, ...],
-    sealed: Tuple[bytes, ...],
-    aad: bytes = b"",
-) -> list:
-    """Open a same-key batch of records sealed by :func:`aead_encrypt_batch`.
-
-    Verification order and failure behaviour match sequential
-    :func:`aead_decrypt_subkeys` calls: the first bad record raises
-    :class:`AeadError` (earlier records are already verified).
-    """
-    mac_template = _hmac_template(mac_key).copy
-    aad_prefixed = _length_prefix(aad)
-    plaintexts = []
-    append = plaintexts.append
-    for nonce, body in zip(nonces, sealed):
-        if len(body) < 32:
-            raise AeadError("sealed message shorter than the tag")
-        ciphertext, tag = body[:-32], body[-32:]
-        h = mac_template()
-        h.update(nonce + aad_prefixed + ciphertext)
-        if not constant_time_equal(tag, h.digest()):
-            raise AeadError("authentication tag mismatch")
-        append(stream_xor(enc_key, nonce, ciphertext))
-    return plaintexts
-
-
 def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     """Encrypt-then-MAC AEAD.  Returns ``ciphertext || tag(32)``."""
     enc_key, mac_key = derive_aead_subkeys(key)

@@ -191,14 +191,19 @@ def schedule_from_primitives(data: Sequence, jitter_s: float = 0.0) -> FaultSche
 
 def schedule_from_mapping(data: Mapping) -> FaultSchedule:
     """Build a schedule from a parsed TOML/JSON mapping."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"fault schedule must be a table, got {type(data).__name__}")
     known = {"fault", "jitter_s"}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(
             f"unknown fault schedule keys {unknown}; known: {sorted(known)}"
         )
+    entries = data.get("fault", ())
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError("fault schedule key 'fault' must be an array of tables")
     faults = []
-    for index, entry in enumerate(data.get("fault", ())):
+    for index, entry in enumerate(entries):
         if not isinstance(entry, Mapping):
             raise ValueError(f"[[fault]] entry {index} is not a table")
         entry_known = {"kind", "target", "start", "duration", "params"}

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 
 from repro.fuzz.coverage import CoverageMap
 from repro.runner.spec import RunSpec
-from repro.telemetry.writer import canonical_line
+from repro.telemetry.writer import canonical_line, iter_trace
 
 STATE_SCHEMA = 1
 
@@ -41,6 +41,16 @@ def _dump(path: Path, payload: dict) -> None:
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )
+
+
+def _load_object(path: Path) -> dict:
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return data
 
 
 class Corpus:
@@ -86,24 +96,42 @@ class Corpus:
         return self.state_path.exists()
 
     def load(self) -> "Corpus":
-        """Load a previously persisted corpus for ``--resume``."""
-        self.state = json.loads(self.state_path.read_text(encoding="utf-8"))
-        if self.state.get("schema") != STATE_SCHEMA:
+        """Load a previously persisted corpus for ``--resume``.
+
+        A damaged file raises :class:`ValueError` naming it (``FILE: …``,
+        or ``FILE:LINE: …`` for a bad ``corpus.jsonl`` line).
+        """
+        state = _load_object(self.state_path)
+        if state.get("schema") != STATE_SCHEMA:
             raise ValueError(
                 f"unsupported corpus state schema in {self.state_path}: "
-                f"{self.state.get('schema')!r}"
+                f"{state.get('schema')!r}"
             )
+        for key, default in self.state.items():  # fresh defaults give the types
+            if key != "seed" and type(state.get(key)) is not type(default):
+                raise ValueError(
+                    f"{self.state_path}: {key!r} must be {type(default).__name__}"
+                )
+        self.state = state
         if self.coverage_path.exists():
-            self.coverage = CoverageMap.from_dict(
-                json.loads(self.coverage_path.read_text(encoding="utf-8"))
-            )
-        self.entries = []
-        if self.corpus_path.exists():
-            with self.corpus_path.open(encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        self.entries.append(json.loads(line))
+            data = _load_object(self.coverage_path)
+            try:
+                self.coverage = CoverageMap.from_dict(data)
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{self.coverage_path}: not a coverage map ({exc})"
+                ) from None
+        self.entries = (
+            list(iter_trace(self.corpus_path)) if self.corpus_path.exists() else []
+        )
+        for number, entry in enumerate(self.entries, 1):
+            try:
+                RunSpec.from_dict(entry["spec"])
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{self.corpus_path}: entry {number}: not a corpus "
+                    f"entry ({type(exc).__name__}: {exc})"
+                ) from None
         return self
 
     def save(self) -> None:

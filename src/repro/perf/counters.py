@@ -84,42 +84,11 @@ def snapshot() -> dict:
     }
 
 
-def batch_summary() -> Dict[str, float]:
-    """Derived statistics of the batched kernels and memos.
-
-    Ratios are computed from the raw counters (average records per AEAD
-    batch, canopy memo hit rate, timer slot reuse) so a profile run shows
-    at a glance whether the batch paths actually engage and how large their
-    batches are.  Returns an empty dict when none of the counters fired.
-    """
-    c = _counts
-    out: Dict[str, float] = {}
-
-    def ratio(key: str, num: str, den: str) -> None:
-        d = c.get(den, 0)
-        if d:
-            out[key] = round(c.get(num, 0) / d, 2)
-
-    ratio("crypto.records_per_seal_batch",
-          "crypto.seal_batch_frames", "crypto.seal_batches")
-    ratio("crypto.records_per_open_batch",
-          "crypto.open_batch_frames", "crypto.open_batches")
-    canopy_hits = c.get("world.canopy_cache_hit", 0)
-    canopy_total = canopy_hits + c.get("world.canopy_cache_miss", 0)
-    if canopy_total:
-        out["canopy.memo_hit_rate"] = round(canopy_hits / canopy_total, 3)
-    reuse = c.get("engine.timer_slot_reuse", 0)
-    if reuse:
-        out["engine.timer_slot_reuse"] = reuse
-    return out
-
-
 def report() -> str:
     """Human-readable one-line-per-metric report."""
     snap = snapshot()
-    lines = []
-    for name in sorted(snap["counters"]):
-        lines.append(f"{name:<40} {snap['counters'][name]}")
+    counts = snap["counters"]
+    lines = [f"{name:<40} {counts[name]}" for name in sorted(counts)]
     for name in sorted(snap["timers"]):
         entry = snap["timers"][name]
         per_call_us = (
@@ -128,6 +97,12 @@ def report() -> str:
         lines.append(
             f"{name:<40} {entry['calls']} calls, "
             f"{entry['total_s'] * 1e3:.2f} ms total, {per_call_us:.2f} us/call"
+        )
+    canopy_hits = counts.get("world.canopy_cache_hit", 0)
+    canopy_total = canopy_hits + counts.get("world.canopy_cache_miss", 0)
+    if canopy_total:
+        lines.append(
+            f"{'canopy.memo_hit_rate':<40} {canopy_hits / canopy_total:.3f}"
         )
     cache = snap["keystream_cache"]
     lines.append(

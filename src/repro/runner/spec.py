@@ -270,7 +270,12 @@ def load_sweep_spec(path: str) -> SweepSpec:
 
 
 def sweep_spec_from_mapping(data: Mapping) -> SweepSpec:
-    """Build a :class:`SweepSpec` from a parsed spec-file mapping."""
+    """Build a :class:`SweepSpec` from a parsed spec-file mapping.
+
+    A value of the wrong shape raises ValueError naming its key.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"sweep spec must be a table, got {type(data).__name__}")
     known = {
         "campaigns", "seeds", "base_seed", "n_seeds", "horizon_s",
         "horizon_minutes", "profiles", "attack_start", "attack_duration",
@@ -282,6 +287,17 @@ def sweep_spec_from_mapping(data: Mapping) -> SweepSpec:
         raise ValueError(
             f"unknown sweep spec keys {unknown}; known: {sorted(known)}"
         )
+    for key in ("campaigns", "seeds", "profiles", "ids_families"):
+        if not isinstance(data.get(key, []), (list, tuple)):
+            raise ValueError(
+                f"sweep spec key {key!r} must be a list, "
+                f"got {type(data[key]).__name__}"
+            )
+    variants = data.get("variants", {})
+    if not isinstance(variants, Mapping) or not all(
+        isinstance(overrides, Mapping) for overrides in variants.values()
+    ):
+        raise ValueError("sweep spec key 'variants' must be a table of tables")
     spec = SweepSpec()
     if "campaigns" in data:
         spec.campaigns = [str(c) for c in data["campaigns"]]

@@ -23,8 +23,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.perf import counters as perf
-
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, re-running, ...)."""
@@ -38,8 +36,7 @@ class Event:
     the Event object itself never participates in comparisons (tuple
     comparison runs at C speed; the old dataclass ``__lt__`` dominated heap
     churn on large runs).  ``cancelled`` events stay in the heap but are
-    skipped when popped, which makes cancellation O(1).  Periodic timers
-    reuse one Event object across occurrences (see :class:`Process`).
+    skipped when popped, which makes cancellation O(1).
     """
 
     time: float
@@ -99,12 +96,8 @@ class Process:
             return
         self.callback()
         if not self._stopped:
-            # timer slot reuse: the fired Event object becomes the next
-            # occurrence (fresh seq drawn at the same point as a fresh
-            # schedule_at, so event ordering is byte-identical) — periodic
-            # timers stop allocating one Event per tick
-            self._event = self._sim._reschedule(
-                self._event, self._sim.now + self.interval, priority=self.priority
+            self._event = self._sim.schedule_at(
+                self._sim.now + self.interval, self._fire, priority=self.priority
             )
 
 
@@ -179,11 +172,6 @@ class Simulator:
         # guards idempotence; popped events detach their back-reference)
         self._live -= 1
 
-    def _pop_live(self, event: Event) -> None:
-        """Account for a live event leaving the heap to fire."""
-        event._sim = None
-        self._live -= 1
-
     def schedule(
         self, delay: float, callback: Callable[[], None], *, priority: int = 0
     ) -> Event:
@@ -209,30 +197,6 @@ class Simulator:
         self._live += 1
         return event
 
-    def _reschedule(self, event: Event, time: float, *, priority: int = 0) -> Event:
-        """Re-arm a fired :class:`Event` object for its next occurrence.
-
-        Used by :class:`Process` so periodic timers reuse one slot instead
-        of allocating a fresh Event per tick.  The sequence number is drawn
-        exactly where :meth:`schedule_at` would draw it, so global event
-        ordering — and therefore every trace byte — is unchanged.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
-            )
-        seq = next(self._seq)
-        event.time = time
-        event.priority = priority
-        event.seq = seq
-        event.cancelled = False
-        event._sim = self
-        heapq.heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
-        if perf.ACTIVE:
-            perf.incr("engine.timer_slot_reuse")
-        return event
-
     def every(
         self,
         interval: float,
@@ -250,14 +214,15 @@ class Simulator:
             event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
-            self._pop_live(event)
+            event._sim = None
+            self._live -= 1
             self._now = event.time
             self._processed += 1
             event.callback()
             return True
         return False
 
-    def run_until(self, end_time: float, *, max_events: Optional[int] = None) -> None:
+    def run_until(self, end_time: float) -> None:
         """Run events until the clock would pass ``end_time``.
 
         The clock is left exactly at ``end_time`` even if the queue drains
@@ -270,44 +235,23 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
-        fired = 0
         heap = self._heap
         heappop = heapq.heappop
         try:
-            if max_events is None:
-                # unbounded fast path: no per-event budget check
-                while heap:
-                    entry = heap[0]
-                    event = entry[3]
-                    if event.cancelled:
-                        heappop(heap)
-                        continue
-                    if entry[0] > end_time:
-                        break
+            while heap:
+                entry = heap[0]
+                event = entry[3]
+                if event.cancelled:
                     heappop(heap)
-                    event._sim = None
-                    self._live -= 1
-                    self._now = entry[0]
-                    self._processed += 1
-                    event.callback()
-            else:
-                while heap:
-                    entry = heap[0]
-                    event = entry[3]
-                    if event.cancelled:
-                        heappop(heap)
-                        continue
-                    if entry[0] > end_time:
-                        break
-                    heappop(heap)
-                    event._sim = None
-                    self._live -= 1
-                    self._now = entry[0]
-                    self._processed += 1
-                    event.callback()
-                    fired += 1
-                    if fired >= max_events:
-                        return
+                    continue
+                if entry[0] > end_time:
+                    break
+                heappop(heap)
+                event._sim = None
+                self._live -= 1
+                self._now = entry[0]
+                self._processed += 1
+                event.callback()
             self._now = end_time
         finally:
             self._running = False

@@ -14,6 +14,8 @@ import os
 from pathlib import Path
 from typing import Iterator, List, Optional
 
+from repro.telemetry.schema import validate_trace
+
 
 def canonical_line(record: dict) -> str:
     """The canonical single-line JSON encoding of one record."""
@@ -57,8 +59,11 @@ class TraceWriter:
 
 
 def read_trace(path: os.PathLike) -> List[dict]:
-    """All records of a trace file, in file order."""
-    return list(iter_trace(path))
+    """All records of a trace file, in file order (ValueError if empty)."""
+    records = list(iter_trace(path))
+    if not records:
+        raise ValueError(f"{path}: {validate_trace(records)[0]}")
+    return records
 
 
 def iter_trace(path: os.PathLike) -> Iterator[dict]:

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.comms.crypto.numbers import TEST_GROUP
-from repro.comms.crypto.secure_channel import Record, SecurityProfile
+from repro.comms.crypto.secure_channel import (
+    Record,
+    SecureChannel,
+    SecurityProfile,
+)
 from repro.comms.link import Frame, FrameType, LinkEndpoint
 from repro.comms.medium import WirelessMedium
 from repro.comms.messages import Command, Heartbeat, Message, Telemetry
@@ -15,8 +19,12 @@ from repro.comms.protocols import (
     TelemetryPublisher,
     phase_offset,
 )
+from repro.sim.engine import Simulator
 from repro.sim.entities import Entity
+from repro.sim.events import EventLog
 from repro.sim.geometry import Vec2
+from repro.sim.rng import RngStreams
+from repro.telemetry import tracer as trace
 
 
 class TestMessages:
@@ -205,3 +213,67 @@ class TestProtocols:
         sim.run_until(1.0)
         assert relay.reports_received == 1
         assert reports[0].payload["detections"][0]["target"] == "p1"
+
+
+class TestSendMany:
+    """``CommNode.send_many`` is sequential ``send``, byte for byte."""
+
+    @staticmethod
+    def twin():
+        sim, log = Simulator(), EventLog()
+        medium = WirelessMedium(sim, log, RngStreams(1234))
+        endpoint = LinkEndpoint("alpha", lambda: Vec2(0, 0), medium, sim, log)
+        LinkEndpoint("beta", lambda: Vec2(40, 0), medium, sim, log)
+        LinkEndpoint("gamma", lambda: Vec2(0, 40), medium, sim, log)
+        node = CommNode("alpha", endpoint, sim, log)
+        # beta is secured, gamma has no channel and gets plaintext records
+        node.attach_channel("beta", SecureChannel(
+            "alpha", "beta", b"\x01" * 32, b"\x02" * 32, SecurityProfile.AEAD,
+        ))
+        wire = []
+        send = endpoint.send
+
+        def recording_send(dst, raw, *, reliable=True):
+            wire.append((dst, raw, reliable))
+            return send(dst, raw, reliable=reliable)
+
+        endpoint.send = recording_send
+        return sim, node, wire
+
+    @staticmethod
+    def messages():
+        recipients = ["beta", "beta", "gamma", "beta", "gamma", "gamma", "beta"]
+        return [
+            Telemetry(sender="alpha", recipient=dst, payload={"i": i})
+            for i, dst in enumerate(recipients)
+        ]
+
+    def run(self, send):
+        sim, node, wire = self.twin()
+        tracer = trace.Tracer(sim, keep_records=True)
+        with trace.installed(tracer):
+            send(node, self.messages())
+        seals = [r for r in tracer.records if r["type"] == "record.seal"]
+        return node, wire, seals
+
+    def test_matches_sequential_send(self):
+        def batched(node, messages):
+            node.send_many(messages, reliable=False)
+
+        def sequential(node, messages):
+            for message in messages:
+                node.send(message, reliable=False)
+
+        node_b, wire_b, seals_b = self.run(batched)
+        node_s, wire_s, seals_s = self.run(sequential)
+        assert wire_b == wire_s
+        assert [
+            (dst, decode_record(raw).seq) for dst, raw, _ in wire_b
+        ] == [
+            ("beta", 1), ("beta", 2), ("gamma", 3), ("beta", 3),
+            ("gamma", 5), ("gamma", 6), ("beta", 4),
+        ]
+        assert seals_b == seals_s
+        assert len(seals_b) == 7
+        assert node_b.messages_sent == node_s.messages_sent == 7
+        assert node_b.channel_stats() == node_s.channel_stats()

@@ -147,6 +147,15 @@ class TestScheduleLoading:
         with pytest.raises(ValueError, match=r"entry 0 is not a table"):
             schedule_from_mapping({"fault": ["node_crash"]})
 
+    @pytest.mark.parametrize("value", [5, "node_crash", {"kind": "x"}])
+    def test_non_array_fault_rejected(self, value):
+        with pytest.raises(ValueError, match=r"'fault' must be an array"):
+            schedule_from_mapping({"fault": value})
+
+    def test_non_table_schedule_rejected(self):
+        with pytest.raises(ValueError, match="must be a table"):
+            schedule_from_mapping([{"fault": []}])
+
     def test_example_storm_file_loads(self):
         schedule = load_fault_schedule("examples/faults_storm.toml")
         assert len(schedule) == 7

@@ -109,6 +109,37 @@ class TestCorpusPersistence:
         with pytest.raises(ValueError):
             Corpus(corpus.root).load()
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("state.json", "[]", "state.json: not a JSON object"),
+        ("state.json", '{"schema": 1', "state.json: not JSON"),
+        ("coverage.json", "5", "coverage.json: not a JSON object"),
+        ("coverage.json", '{"signatures": {"s": 1}}',
+         "coverage.json: not a coverage map"),
+        ("corpus.jsonl", '{"spec": {}}\n[1]\n',
+         "corpus.jsonl:2: not a JSON object"),
+        ("corpus.jsonl", '{"spec": {}}\n{"sp', "corpus.jsonl:2: not a JSON"),
+        ("corpus.jsonl", '{"spec": {}}\n{"key": "k"}\n',
+         "corpus.jsonl: entry 2: not a corpus entry"),
+    ])
+    def test_damaged_file_is_named(self, tmp_path, name, text, message):
+        corpus = Corpus(tmp_path / "corpus")
+        corpus.save()
+        (corpus.root / name).write_text(text)
+        with pytest.raises(ValueError, match=message):
+            Corpus(corpus.root).load()
+
+    @pytest.mark.parametrize("key, value", [
+        ("iterations_done", "3"),
+        ("failures", None),
+        ("heatmap", []),
+    ])
+    def test_malformed_state_field_is_named(self, tmp_path, key, value):
+        corpus = Corpus(tmp_path / "corpus")
+        corpus.state[key] = value
+        corpus.save()
+        with pytest.raises(ValueError, match=f"state.json: '{key}' must"):
+            Corpus(corpus.root).load()
+
     def test_seed_entries_come_first_in_discovery_order(self, fuzzed):
         root, _ = fuzzed
         corpus = Corpus(root).load()

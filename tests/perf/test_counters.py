@@ -79,6 +79,17 @@ class TestCounterPrimitives:
         text = counters.report()
         assert "medium.frames_tx" in text
         assert "crypto.keystream_cache" in text
+        assert "canopy.memo_hit_rate" not in text
+
+    def test_report_includes_canopy_memo_hit_rate(self):
+        counters.enable(True)
+        counters.incr("world.canopy_cache_hit", 1)
+        counters.incr("world.canopy_cache_miss", 3)
+        line = next(
+            line for line in counters.report().splitlines()
+            if line.startswith("canopy.memo_hit_rate")
+        )
+        assert line.split()[-1] == "0.250"
 
 
 class TestInstrumentation:

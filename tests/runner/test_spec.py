@@ -143,3 +143,20 @@ class TestSpecFiles:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep spec keys"):
             sweep_spec_from_mapping({"campaignz": ["typo"]})
+
+    @pytest.mark.parametrize(
+        "key", ["campaigns", "seeds", "profiles", "ids_families"]
+    )
+    @pytest.mark.parametrize("value", [5, "rf_jamming", None, {"a": 1}])
+    def test_non_list_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=rf"'{key}' must be a list"):
+            sweep_spec_from_mapping({key: value})
+
+    @pytest.mark.parametrize("variants", [5, ["no_drone"], {"no_drone": 5}])
+    def test_non_table_variants_rejected(self, variants):
+        with pytest.raises(ValueError, match=r"'variants' must be a table"):
+            sweep_spec_from_mapping({"variants": variants})
+
+    def test_non_table_spec_rejected(self):
+        with pytest.raises(ValueError, match="sweep spec must be a table"):
+            sweep_spec_from_mapping(5)

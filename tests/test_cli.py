@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -109,6 +111,16 @@ class TestCommands:
         assert "fault schedule error" in err
         assert "entry 0" in err and "'target'" in err
 
+    def test_run_fault_scalar_exits_2(self, tmp_path, capsys):
+        faults = tmp_path / "faults.json"
+        faults.write_text('{"fault": 5}')
+        assert main(["run", "--seed", "3", "--minutes", "1",
+                     "--faults", str(faults)]) == 2
+        err = capsys.readouterr().err
+        assert "fault schedule error" in err
+        assert "'fault' must be an array" in err
+        assert "Traceback" not in err
+
     def test_attack_short(self, capsys):
         assert main([
             "attack", "message_injection", "--seed", "3", "--minutes", "4",
@@ -212,6 +224,18 @@ class TestTraceCommand:
         assert main(["check", "--trace", str(torn)]) == 2
         assert f"{torn}:2: not a JSON record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_trace_is_a_usage_error(self, tmp_path, capsys, text):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(text)
+        for argv in (["trace", "--analyze", str(empty)],
+                     ["trace", "--analyze", str(empty), "--check"],
+                     ["check", "--trace", str(empty)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert f"{empty}: trace is empty" in captured.err
+            assert "verdict" not in captured.out
+
     def test_trace_spans_records_and_analyzes(self, tmp_path, capsys):
         out = str(tmp_path / "trace.jsonl")
         assert main([
@@ -312,6 +336,17 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "s.jsonl")]) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["campaigns", "seeds", "profiles",
+                                     "ids_families", "variants"])
+    def test_sweep_spec_scalar_is_a_spec_error(self, tmp_path, capsys, key):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({key: 5}))
+        assert main(["sweep", "--spec", str(spec),
+                     "--out", str(tmp_path / "s.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"sweep spec key '{key}' must be a" in err
+        assert not (tmp_path / "s.jsonl").exists()
+
     def test_sweep_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "grid.toml"
         spec.write_text(
@@ -406,6 +441,17 @@ class TestCampaignCommand:
                      "--db", str(tmp_path / "c.db")]) == 2
         assert "give a sweep grid" in capsys.readouterr().err
 
+    def test_start_scalar_campaigns_is_a_spec_error(self, tmp_path, capsys):
+        spec = tmp_path / "grid.json"
+        spec.write_text('{"campaigns": 5}')
+        db = str(tmp_path / "c.db")
+        assert main(["campaign", "start", "night", "--db", db,
+                     "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert "campaign error" in err
+        assert "'campaigns' must be a list" in err
+        assert main(["campaign", "show", "night", "--db", db]) == 2
+
     def test_start_refuses_an_existing_name(self, tmp_path, capsys):
         db = str(tmp_path / "c.db")
         assert main(["campaign", "start", "night", "--db", db,
@@ -471,6 +517,38 @@ class TestCampaignCommand:
         assert "imported 1 cell(s)" in out
         # the imported cell is already ok: nothing re-executes
         assert "0 executed, 1 cached" in out
+
+
+class TestFuzzResumeDamagedCorpus:
+    """``fuzz --resume`` on a damaged corpus: one error line, exit 2."""
+
+    @staticmethod
+    def corpus(tmp_path):
+        from repro.fuzz.corpus import Corpus
+
+        corpus = Corpus(tmp_path / "corpus")
+        corpus.state["seed"] = 5
+        corpus.save()
+        return corpus
+
+    def resume(self, corpus, capsys):
+        code = main(["fuzz", "--seed", "5", "--iterations", "1",
+                     "--corpus", str(corpus.root), "--resume", "--quiet"])
+        return code, capsys.readouterr().err
+
+    def test_state_that_is_a_list(self, tmp_path, capsys):
+        corpus = self.corpus(tmp_path)
+        corpus.state_path.write_text("[]\n")
+        code, err = self.resume(corpus, capsys)
+        assert code == 2
+        assert f"fuzz error: {corpus.state_path}: not a JSON object" in err
+
+    def test_torn_corpus_line_names_file_and_line(self, tmp_path, capsys):
+        corpus = self.corpus(tmp_path)
+        corpus.corpus_path.write_text('{"spec": {}}\n{"spec": {"seed"\n')
+        code, err = self.resume(corpus, capsys)
+        assert code == 2
+        assert f"fuzz error: {corpus.corpus_path}:2: not a JSON record" in err
 
 
 class TestStatusCommand:

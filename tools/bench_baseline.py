@@ -204,45 +204,6 @@ def bench_interference(n_tx: int = 64) -> dict:
     }
 
 
-def bench_aead_batch(n_records: int = 64, payload_bytes: int = 256) -> dict:
-    """Per-channel batched sealing (`seal_batch`) vs sequential `seal`."""
-    from repro.comms.crypto.secure_channel import SecureChannel, SecurityProfile
-
-    key = hashlib.sha256(b"bench-batch-key").digest()
-    plaintexts = [
-        bytes([i & 0xFF]) * payload_bytes for i in range(n_records)
-    ]
-
-    def batch():
-        a = SecureChannel("a", "b", key, key, SecurityProfile.AEAD)
-        a.seal_batch(plaintexts)
-
-    def sequential():
-        a = SecureChannel("a", "b", key, key, SecurityProfile.AEAD)
-        for plaintext in plaintexts:
-            a.seal(plaintext)
-
-    # batched and sequential sealing must produce identical records
-    a = SecureChannel("a", "b", key, key, SecurityProfile.AEAD)
-    b = SecureChannel("a", "b", key, key, SecurityProfile.AEAD)
-    batched_records = a.seal_batch(plaintexts)
-    sequential_records = [b.seal(plaintext) for plaintext in plaintexts]
-    assert [(r.seq, r.body) for r in batched_records] == [
-        (r.seq, r.body) for r in sequential_records
-    ]
-
-    current = _best_of(batch, inner=4)
-    reference = _best_of(sequential, inner=4)
-    return {
-        "records_per_batch": n_records,
-        "payload_bytes": payload_bytes,
-        "batch_ms": round(current * 1e3, 3),
-        "sequential_ms": round(reference * 1e3, 3),
-        "per_record_us": round(current / n_records * 1e6, 3),
-        "speedup_vs_sequential": round(reference / current, 2),
-    }
-
-
 def bench_canopy(n_pairs: int = 32) -> dict:
     """Repeated canopy queries over a fixed endpoint set (the comms pattern)."""
     from repro.sim.geometry import Vec2
@@ -399,10 +360,6 @@ CHECKS = (
     # by tens of percent; at parity-with-reference the subkey cache is gone
     ("aead_record", "speedup_vs_reference", 1.0),
     ("interference", "speedup_vs_reference", 0.8),
-    # the batched path must stay at least on par with its sequential
-    # equivalent (generous floor: single-vCPU CI hosts jitter by tens of
-    # percent)
-    ("aead_batch", "speedup_vs_sequential", 0.9),
 )
 
 
@@ -491,7 +448,6 @@ def main(argv=None) -> int:
     micro = {
         "stream_xor": bench_stream_xor(),
         "aead_record": bench_aead_record(),
-        "aead_batch": bench_aead_batch(),
         "interference": bench_interference(),
         "canopy": bench_canopy(),
     }
