@@ -118,60 +118,51 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.comms.crypto.secure_channel import SecurityProfile
 
+def _run_spec(args) -> "RunSpec":
+    """The :class:`RunSpec` a single-run command (run/trace/attack/profile)
+    executes.
 
-def _scenario_config(args) -> "ScenarioConfig":
-    from repro.scenarios.worksite import ScenarioConfig
-
-    if getattr(args, "undefended", False):
-        return ScenarioConfig(
-            seed=args.seed,
-            profile=SecurityProfile.PLAINTEXT,
-            protected_management=False,
-            defenses_enabled=False,
-            access_control_enabled=False,
-            drone_enabled=not getattr(args, "no_drone", False),
-        )
-    return ScenarioConfig(
-        seed=args.seed,
-        drone_enabled=not getattr(args, "no_drone", False),
-    )
-
-
-def _fault_schedule(args) -> Optional["FaultSchedule"]:
-    """The fault schedule requested by ``--faults`` / ``--fault-campaign``.
-
-    Returns ``None`` when neither flag was given, so fault-free invocations
-    never touch the fault machinery at all.
+    ``--faults``/``--fault-campaign`` are resolved against the run's own
+    seed, drawing jitter from the same named stream the fault injector
+    draws from, so the spec carries the fault start times that actually
+    run.  Raises ``ValueError``/``OSError`` for a bad fault schedule.
     """
+    from repro.faults import build_fault_campaign, load_fault_schedule
+    from repro.runner.spec import RunSpec
+    from repro.sim.rng import RngStreams
+
+    overrides = {}
+    if args.no_drone:
+        overrides["drone_enabled"] = False
+    if getattr(args, "gs", False):
+        overrides["groundstation_enabled"] = True
+        if args.gs_attacks:
+            overrides["gs_attacks"] = args.gs_attacks
     path = getattr(args, "faults", None)
-    campaign = getattr(args, "fault_campaign", None)
-    if path and campaign:
+    fault_campaign = getattr(args, "fault_campaign", None)
+    if path and fault_campaign:
         raise ValueError("--faults and --fault-campaign are mutually exclusive")
-    if path:
-        from repro.faults import load_fault_schedule
-
-        return load_fault_schedule(path)
-    if campaign:
-        from repro.faults import build_fault_campaign
-
-        return build_fault_campaign(
-            campaign,
-            start=getattr(args, "fault_start", 20.0),
-            duration=getattr(args, "fault_duration", 30.0),
+    faults = ()
+    if path or fault_campaign:
+        schedule = load_fault_schedule(path) if path else build_fault_campaign(
+            fault_campaign, start=args.fault_start,
+            duration=args.fault_duration,
         )
-    return None
-
-
-def _arm_faults(args, scenario) -> Optional["FaultInjector"]:
-    """Arm the requested fault schedule against a composed scenario."""
-    schedule = _fault_schedule(args)
-    if schedule is None:
-        return None
-    from repro.faults import FaultInjector
-
-    return FaultInjector(scenario, schedule).arm()
+        faults = tuple(
+            fault.to_primitives()
+            for fault in schedule.resolve(RngStreams(args.seed))
+        )
+    return RunSpec.single(
+        getattr(args, "campaign", None) or "baseline",
+        seed=args.seed,
+        horizon_s=args.minutes * 60.0,
+        profile="undefended" if args.undefended else "defended",
+        start=getattr(args, "start", 0.0),
+        duration=getattr(args, "duration", None),
+        overrides=overrides,
+        faults=faults,
+    )
 
 
 def _print_resilience(injector, horizon_s: float) -> None:
@@ -224,7 +215,8 @@ def _print_summary(scenario) -> None:
 
 def cmd_run(args) -> int:
     from repro.invariants import engine as checks
-    from repro.scenarios.worksite import build_worksite
+    from repro.scenarios.factory import compose_run
+    from repro.telemetry import tracer as trace
 
     metrics_out = args.metrics_json or args.metrics_prom
     if args.metrics_interval is not None and not metrics_out:
@@ -232,37 +224,32 @@ def cmd_run(args) -> int:
         print("run: --metrics-interval has no effect without "
               "--metrics-json or --metrics-prom", file=sys.stderr)
         return 2
-    config = _scenario_config(args)
-    if metrics_out:
-        config.metrics_interval_s = (
-            args.metrics_interval if args.metrics_interval is not None
-            else 5.0
-        )
-    scenario = build_worksite(config)
-    horizon = args.minutes * 60.0
     try:
-        injector = _arm_faults(args, scenario)
+        spec = _run_spec(args)
     except (ValueError, OSError) as exc:
         print(f"fault schedule error: {exc}", file=sys.stderr)
         return 2
+    interval = None
+    if metrics_out:
+        interval = (
+            args.metrics_interval if args.metrics_interval is not None
+            else 5.0
+        )
+    prepared = compose_run(spec, metrics_interval_s=interval)
+    scenario = prepared.scenario
     print(f"running worksite seed={args.seed} for {args.minutes} min ...")
-    checker = None
+    checker = tracer = None
     if checks.env_enabled():
         # online checking rides on the record stream, so REPRO_CHECK
         # installs a writer-less tracer alongside the engine
-        from repro.telemetry import tracer as trace
-
         checker = checks.InvariantEngine()
-        with trace.installed(trace.Tracer(scenario.sim)):
-            with checks.installed(checker):
-                scenario.run(horizon)
-    else:
-        scenario.run(horizon)
+        tracer = trace.Tracer(scenario.sim)
+    prepared.run(tracer, checker)
     _print_summary(scenario)
     if checker is not None:
         _print_invariants(checker)
-    if injector is not None:
-        _print_resilience(injector, horizon)
+    if prepared.fault_injector is not None:
+        _print_resilience(prepared.fault_injector, spec.horizon_s)
     if metrics_out:
         from repro.telemetry import TelemetryHub
 
@@ -282,13 +269,12 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     from repro.invariants import engine as checks
-    from repro.runner.spec import RunSpec
-    from repro.scenarios.campaigns import CAMPAIGN_BUILDERS, build_campaign
-    from repro.scenarios.worksite import build_worksite
+    from repro.scenarios.campaigns import CAMPAIGN_BUILDERS
+    from repro.scenarios.factory import compose_run
     from repro.telemetry import (
         TraceWriter,
         Tracer,
-        installed,
+        env_spans_enabled,
         read_trace,
         validate_trace,
     )
@@ -333,86 +319,32 @@ def cmd_trace(args) -> int:
     if (args.gs_attacks or args.audit_out) and not args.gs:
         print("trace: --gs-attacks/--audit-out require --gs", file=sys.stderr)
         return 2
-    config = _scenario_config(args)
-    if args.gs:
-        config.groundstation_enabled = True
-        config.gs_attacks = args.gs_attacks or ""
-        if args.audit_out:
-            Path(args.audit_out).parent.mkdir(parents=True, exist_ok=True)
-            config.gs_audit_path = args.audit_out
-    scenario = build_worksite(config)
-    horizon = args.minutes * 60.0
     try:
-        schedule = _fault_schedule(args)
+        spec = _run_spec(args)
     except (ValueError, OSError) as exc:
         print(f"fault schedule error: {exc}", file=sys.stderr)
         return 2
-    # the equivalent primitive spec, embedded in the header so the trace
-    # is self-describing and `check` can differentially replay it
-    overrides = {}
-    if args.no_drone:
-        overrides["drone_enabled"] = False
-    if args.gs:
-        overrides["groundstation_enabled"] = True
-        if args.gs_attacks:
-            overrides["gs_attacks"] = args.gs_attacks
-    spec = RunSpec.single(
-        args.campaign or "baseline",
-        seed=args.seed,
-        horizon_s=horizon,
-        profile="undefended" if args.undefended else "defended",
-        start=args.start,
-        duration=args.duration,
-        overrides=overrides or None,
-        faults=tuple(
-            fault.to_primitives() for fault in schedule.faults
-        ) if schedule is not None else (),
-    )
-    from repro.telemetry import env_spans_enabled
-
+    if args.audit_out:
+        Path(args.audit_out).parent.mkdir(parents=True, exist_ok=True)
+    prepared = compose_run(spec, gs_audit_path=args.audit_out)
+    scenario = prepared.scenario
     spans = args.spans or env_spans_enabled()
-    # armed before the header is emitted so the online engine observes the
-    # whole stream, run span included (mirrors the sweep worker ordering)
     checker = checks.InvariantEngine() if checks.env_enabled() else None
-    if checker is not None:
-        checks.install(checker)
     tracer = Tracer(scenario.sim, TraceWriter(args.out), spans=spans)
-    tracer.meta(
-        seed=args.seed,
-        profile=scenario.config.profile.value,
-        horizon_s=horizon,
-        campaign=args.campaign,
-        spec=spec.to_dict(),
-    )
-    if args.campaign:
-        campaign = build_campaign(
-            args.campaign, scenario, start=args.start,
-            **({"duration": args.duration} if args.duration else {}),
-        )
-        campaign.arm()
-    injector = None
-    if schedule is not None:
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector(scenario, schedule).arm()
     target = "baseline" if not args.campaign else args.campaign
-    if injector is not None:
-        target += f" + {len(injector.schedule)} fault(s)"
+    if prepared.fault_injector is not None:
+        target += f" + {len(prepared.fault_injector.schedule)} fault(s)"
     print(f"tracing {target!r} run seed={args.seed} "
           f"for {args.minutes} min -> {args.out}")
-    try:
-        with installed(tracer):
-            scenario.run(horizon)
-            if scenario.groundstation is not None:
-                # close the audit chain inside the traced window so the
-                # close entry lands in both the trace and the audit file
-                scenario.groundstation.finalize()
-        # close while the checker still observes: end-of-trace span ends
-        # are part of the discipline the spans invariant checks
-        tracer.close()
-    finally:
-        if checker is not None:
-            checks.uninstall()
+    # the header embeds the spec, so the trace is self-describing and
+    # `check` can differentially replay it
+    prepared.run(tracer, checker, meta=dict(
+        seed=args.seed,
+        profile=scenario.config.profile.value,
+        horizon_s=spec.horizon_s,
+        campaign=args.campaign,
+        spec=spec.to_dict(),
+    ))
     print(f"trace:            {tracer.record_count} records")
     if scenario.groundstation is not None:
         audit = scenario.groundstation.audit.summary()
@@ -586,28 +518,23 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    from repro.scenarios.campaigns import CAMPAIGN_BUILDERS, build_campaign
-    from repro.scenarios.worksite import build_worksite
+    from repro.scenarios.campaigns import CAMPAIGN_BUILDERS
+    from repro.scenarios.factory import compose_run
 
     if args.campaign not in CAMPAIGN_BUILDERS:
         print(f"unknown campaign {args.campaign!r}; "
               f"available: {', '.join(sorted(CAMPAIGN_BUILDERS))}",
               file=sys.stderr)
         return 2
-    scenario = build_worksite(_scenario_config(args))
-    horizon = args.minutes * 60.0
-    campaign = build_campaign(
-        args.campaign, scenario, start=args.start,
-        **({"duration": args.duration} if args.duration else {}),
-    )
-    campaign.arm()
+    prepared = compose_run(_run_spec(args))
+    scenario = prepared.scenario
     print(f"running {args.campaign!r} against "
           f"{'undefended' if args.undefended else 'defended'} worksite ...")
-    scenario.run(horizon)
+    prepared.run()
     _print_summary(scenario)
     if scenario.ids_manager is not None:
         score = scenario.ids_manager.score(
-            campaign.ground_truth_windows(), horizon_s=horizon
+            prepared.windows, horizon_s=prepared.spec.horizon_s
         )
         latency = (f"{score.mean_latency_s:.1f} s"
                    if score.mean_latency_s is not None else "-")
@@ -1014,21 +941,20 @@ def cmd_profile(args) -> int:
     import pstats
 
     from repro.perf import counters as perf_counters
-    from repro.scenarios.worksite import build_worksite
+    from repro.scenarios.factory import compose_run
 
-    scenario = build_worksite(_scenario_config(args))
-    horizon = args.minutes * 60.0
+    prepared = compose_run(_run_spec(args))
     if args.perf:
         perf_counters.enable(True)
         perf_counters.reset()
     print(f"profiling worksite seed={args.seed} for {args.minutes} min ...")
     profiler = cProfile.Profile()
     profiler.enable()
-    scenario.run(horizon)
+    prepared.run()
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.limit)
-    _print_summary(scenario)
+    _print_summary(prepared.scenario)
     if args.perf:
         print()
         print("perf counters:")

@@ -35,6 +35,9 @@ from repro.telemetry.writer import canonical_line, iter_trace
 
 STATE_SCHEMA = 1
 
+#: the int counters every risk-heatmap cell carries
+HEATMAP_FIELDS = ("runs", "new_signatures", "violations", "failures")
+
 
 def _dump(path: Path, payload: dict) -> None:
     path.write_text(
@@ -111,6 +114,14 @@ class Corpus:
             if key != "seed" and type(state.get(key)) is not type(default):
                 raise ValueError(
                     f"{self.state_path}: {key!r} must be {type(default).__name__}"
+                )
+        for cell_key, cell in state["heatmap"].items():
+            if not isinstance(cell, dict) or any(
+                type(cell.get(name)) is not int for name in HEATMAP_FIELDS
+            ):
+                raise ValueError(
+                    f"{self.state_path}: heatmap cell {cell_key!r}: must be "
+                    f"an object with int {', '.join(HEATMAP_FIELDS)}"
                 )
         self.state = state
         if self.coverage_path.exists():
@@ -192,8 +203,7 @@ class Corpus:
         kinds = sorted({fault[0] for fault in spec.faults}) or ["none"]
         cell_key = f"{spec.campaign}|{'+'.join(kinds)}"
         cell = self.state["heatmap"].setdefault(
-            cell_key,
-            {"runs": 0, "new_signatures": 0, "violations": 0, "failures": 0},
+            cell_key, dict.fromkeys(HEATMAP_FIELDS, 0)
         )
         cell["runs"] += 1
         cell["new_signatures"] += int(new_signatures)

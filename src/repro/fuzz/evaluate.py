@@ -53,22 +53,12 @@ def _run_records(spec: RunSpec) -> List[dict]:
     from repro.scenarios.factory import compose_run
     from repro.telemetry import tracer as trace
 
-    prepared = compose_run(
-        seed=spec.seed,
-        horizon_s=spec.horizon_s,
-        profile=spec.profile,
-        plan=spec.plan,
-        ids_family=spec.ids_family,
-        overrides=dict(spec.overrides),
-        faults=spec.faults,
-    )
+    prepared = compose_run(spec)
     tracer = trace.Tracer(prepared.scenario.sim, keep_records=True)
-    tracer.meta(
+    prepared.run(tracer, meta=dict(
         seed=spec.seed, profile=spec.profile, horizon_s=spec.horizon_s,
         campaign=spec.campaign, spec=spec.to_dict(),
-    )
-    with trace.installed(tracer):
-        prepared.scenario.run(spec.horizon_s)
+    ))
     if prepared.scenario.sim.now < spec.horizon_s:
         raise RuntimeError(
             f"kernel deadlock: clock stopped at "

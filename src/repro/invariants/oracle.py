@@ -65,16 +65,7 @@ def replay_records(records: List[dict]) -> List[dict]:
             "trace is not self-describing: no RunSpec embedded in "
             "trace.meta (record it with a current `repro-worksite trace`)"
         )
-    spec = RunSpec.from_dict(spec_dict)
-    prepared = compose_run(
-        seed=spec.seed,
-        horizon_s=spec.horizon_s,
-        profile=spec.profile,
-        plan=spec.plan,
-        ids_family=spec.ids_family,
-        overrides=dict(spec.overrides),
-        faults=spec.faults,
-    )
+    prepared = compose_run(RunSpec.from_dict(spec_dict))
     # a span-augmented trace must replay with the span layer armed (and
     # closed at the horizon), or the diff would flag every span line
     spans = any(
@@ -83,18 +74,10 @@ def replay_records(records: List[dict]) -> List[dict]:
     tracer = trace.Tracer(
         prepared.scenario.sim, keep_records=True, spans=spans
     )
-    meta_fields = {
+    prepared.run(tracer, meta={
         key: value for key, value in records[0].items()
         if key not in ("v", "i", "t", "type", "schema")
-    }
-    tracer.meta(**meta_fields)
-    with trace.installed(tracer):
-        prepared.scenario.run(spec.horizon_s)
-        if prepared.scenario.groundstation is not None:
-            # the recorded run closed its audit chain inside the traced
-            # window; replay must do the same or the diff flags the tail
-            prepared.scenario.groundstation.finalize()
-    tracer.close()
+    })
     return tracer.records
 
 

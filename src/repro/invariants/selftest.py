@@ -49,21 +49,14 @@ def build_base_records() -> List[dict]:
         start=10.0, duration=20.0, faults=faults,
         overrides={"groundstation_enabled": True},
     )
-    prepared = compose_run(
-        seed=spec.seed, horizon_s=spec.horizon_s, profile=spec.profile,
-        plan=spec.plan, faults=spec.faults,
-        overrides=dict(spec.overrides),
-    )
+    prepared = compose_run(spec)
     tracer = trace.Tracer(prepared.scenario.sim, keep_records=True)
-    tracer.meta(
+    # the run closes the audit chain inside the traced window, so the
+    # gs.audit stream (and its close entry) is part of the base records
+    prepared.run(tracer, meta=dict(
         seed=spec.seed, profile=spec.profile, horizon_s=spec.horizon_s,
         campaign=spec.campaign, spec=spec.to_dict(),
-    )
-    with trace.installed(tracer):
-        prepared.scenario.run(spec.horizon_s)
-        # close the audit chain inside the traced window so the gs.audit
-        # stream (and its close entry) is part of the base records
-        prepared.scenario.groundstation.finalize()
+    ))
     return tracer.records
 
 

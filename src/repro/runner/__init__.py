@@ -13,8 +13,8 @@ sweeps only execute the delta:
 * :mod:`repro.runner.campaign` — the durable SQLite (WAL) campaign
   store: ``campaigns`` / ``cells`` / ``attempts`` tables, queryable
   across runs, with a one-way JSONL import path;
-* :mod:`repro.runner.dispatch` — pluggable execution backends
-  (:class:`LocalPoolDispatcher` today) plus the deterministic
+* :mod:`repro.runner.dispatch` — the self-healing process-pool backend
+  (:class:`LocalPoolDispatcher`) plus the deterministic
   :class:`CellRetryPolicy`;
 * :mod:`repro.runner.engine` — :class:`SweepRunner` (dispatcher fan-out,
   resume, failure isolation, self-healing retry/timeout/backoff);
@@ -39,13 +39,7 @@ from repro.runner.campaign import (
     CampaignStore,
     open_campaign_store,
 )
-from repro.runner.dispatch import (
-    DISPATCHERS,
-    CellRetryPolicy,
-    Dispatcher,
-    LocalPoolDispatcher,
-    make_dispatcher,
-)
+from repro.runner.dispatch import CellRetryPolicy, LocalPoolDispatcher
 from repro.runner.engine import (
     SweepReport,
     SweepRunner,
@@ -74,8 +68,6 @@ __all__ = [
     "CampaignBinding",
     "CampaignStore",
     "CellRetryPolicy",
-    "DISPATCHERS",
-    "Dispatcher",
     "LocalPoolDispatcher",
     "RunSpec",
     "SweepSpec",
@@ -90,7 +82,6 @@ __all__ = [
     "derive_sweep_seeds",
     "execute_run",
     "load_sweep_spec",
-    "make_dispatcher",
     "open_campaign_store",
     "open_store",
     "progress_line",

@@ -1,14 +1,10 @@
-"""Pluggable execution backends for the sweep engine, plus retry policy.
+"""The sweep engine's execution backend, plus retry policy.
 
 The engine used to own a ``ProcessPoolExecutor`` directly, which meant one
 SIGKILLed worker broke the pool and the next ``submit`` crashed the whole
 sweep.  This module splits "how cells execute" out of "which cells to
-execute" behind a small :class:`Dispatcher` interface (the provider-class
-pattern: backends register in :data:`DISPATCHERS` by name, multi-host
-dispatch is a new class, not an engine rewrite).
-
-:class:`LocalPoolDispatcher` is the first backend and hardens the process
-pool three ways:
+execute": :class:`LocalPoolDispatcher` runs the cells and hardens the
+process pool three ways:
 
 * **pool resurrection** — a ``BrokenProcessPool`` (worker SIGKILLed, OOM
   kill, interpreter abort) no longer propagates: the in-flight cells come
@@ -120,10 +116,10 @@ class Outcome:
     error: Optional[str] = None
 
 
-class Dispatcher:
-    """Execution backend interface: submit cells, poll outcomes.
+class LocalPoolDispatcher:
+    """Self-healing ``ProcessPoolExecutor`` backend.
 
-    The engine drives any backend with the same four-step loop::
+    The engine drives it with a four-step loop::
 
         dispatcher.start()
         while work:
@@ -133,39 +129,9 @@ class Dispatcher:
                 ...  # retry or finalise
         dispatcher.stop()
 
-    Implementations must never raise out of ``submit``/``poll`` for
-    worker-side failures — bad news travels as :class:`Outcome` values —
-    and must never silently drop a submitted spec.
-    """
-
-    #: registry name (the ``providerclass`` analogue)
-    name = "abstract"
-
-    def start(self) -> None:
-        raise NotImplementedError
-
-    def stop(self) -> None:
-        raise NotImplementedError
-
-    @property
-    def capacity(self) -> int:
-        """Free execution slots right now."""
-        raise NotImplementedError
-
-    @property
-    def in_flight(self) -> int:
-        """Cells currently submitted and not yet reported."""
-        raise NotImplementedError
-
-    def submit(self, spec: RunSpec, attempt: int = 1) -> None:
-        raise NotImplementedError
-
-    def poll(self, timeout_s: Optional[float] = None) -> List[Outcome]:
-        raise NotImplementedError
-
-
-class LocalPoolDispatcher(Dispatcher):
-    """Self-healing ``ProcessPoolExecutor`` backend.
+    It never raises out of ``submit``/``poll`` for worker-side failures —
+    bad news travels as :class:`Outcome` values — and never silently drops
+    a submitted spec.
 
     Parameters
     ----------
@@ -190,8 +156,6 @@ class LocalPoolDispatcher(Dispatcher):
     clock:
         Monotonic timestamp source (injectable for tests).
     """
-
-    name = "local"
 
     def __init__(
         self,
@@ -389,22 +353,3 @@ class LocalPoolDispatcher(Dispatcher):
         self._breakage_streak = 0
         if self.on_degrade is not None:
             self.on_degrade(old, self.workers)
-
-
-#: provider-class registry: dispatcher name -> class.  Multi-host backends
-#: (SSH fan-out, container fleets) plug in here without touching the engine.
-DISPATCHERS = {
-    LocalPoolDispatcher.name: LocalPoolDispatcher,
-}
-
-
-def make_dispatcher(name: str, workers: int, **kwargs) -> Dispatcher:
-    """Instantiate a registered dispatcher by name."""
-    try:
-        cls = DISPATCHERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown dispatcher {name!r}; "
-            f"available: {', '.join(sorted(DISPATCHERS))}"
-        ) from None
-    return cls(workers, **kwargs)

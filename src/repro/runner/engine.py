@@ -3,9 +3,10 @@
 :class:`SweepRunner` takes the expanded spec list, consults the result
 store for already-completed runs (``resume=True``), and executes only the
 delta — inline for ``jobs=1`` (no pool overhead, same code path as the
-workers) or through a pluggable :class:`~repro.runner.dispatch.Dispatcher`
-(the local process pool by default) otherwise.  Each completed record is
-appended to the store as it arrives, so progress survives interruption.
+workers) or through the self-healing process pool of
+:class:`~repro.runner.dispatch.LocalPoolDispatcher` otherwise.  Each
+completed record is appended to the store as it arrives, so progress
+survives interruption.
 Failures are data, not exceptions: a worker that raises produces a
 ``status: "failed"`` record and the sweep keeps going.
 
@@ -36,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.runner.dispatch import (
     CellRetryPolicy,
-    Dispatcher,
     LocalPoolDispatcher,
     Outcome,
 )
@@ -122,10 +122,6 @@ class SweepRunner:
         Per-cell wall-clock budget for pool execution; an overdue cell is
         killed and requeued as a retryable ``timeout`` attempt.  ``None``
         disables timeouts.
-    dispatcher:
-        Optional pre-built execution backend; by default a
-        :class:`~repro.runner.dispatch.LocalPoolDispatcher` is created
-        per ``run`` with ``min(jobs, len(pending))`` workers.
     task:
         Picklable ``(spec_dict, attempt) -> record`` callable; defaults to
         :func:`repro.runner.worker.execute_run`.  Injectable so the chaos
@@ -153,7 +149,6 @@ class SweepRunner:
         store: Optional[ResultStore] = None,
         retry_policy: Optional[CellRetryPolicy] = None,
         cell_timeout_s: Optional[float] = None,
-        dispatcher: Optional[Dispatcher] = None,
         task: Optional[Callable] = None,
         progress: Optional[ProgressFn] = None,
         monitor: Optional[SweepMonitor] = None,
@@ -170,7 +165,6 @@ class SweepRunner:
             retry_policy if retry_policy is not None else CellRetryPolicy()
         )
         self.cell_timeout_s = cell_timeout_s
-        self.dispatcher = dispatcher
         self.task = task if task is not None else execute_run
         self.progress = progress
         self.monitor = monitor
@@ -309,7 +303,7 @@ class SweepRunner:
     def _execute(self, pending: Sequence[RunSpec]):
         if not pending:
             return
-        if self.jobs == 1 and self.dispatcher is None:
+        if self.jobs == 1:
             yield from self._execute_inline(pending)
             return
         yield from self._execute_dispatched(pending)
@@ -346,13 +340,11 @@ class SweepRunner:
         """The self-healing dispatcher loop: lazy submission (one in-flight
         cell per worker), retry with deterministic backoff, heartbeats."""
         policy = self.retry_policy
-        dispatcher = self.dispatcher
-        if dispatcher is None:
-            dispatcher = LocalPoolDispatcher(
-                min(self.jobs, len(pending)),
-                task=self.task,
-                cell_timeout_s=self.cell_timeout_s,
-            )
+        dispatcher = LocalPoolDispatcher(
+            min(self.jobs, len(pending)),
+            task=self.task,
+            cell_timeout_s=self.cell_timeout_s,
+        )
         dispatcher.on_degrade = self._on_degrade
         ready = deque(pending)
         delayed: List[tuple] = []  # (eligible_t, spec) backoff parking lot

@@ -73,24 +73,11 @@ def _simulate(spec: RunSpec) -> dict:
     from repro.scenarios.factory import compose_run
     from repro.telemetry import tracer as trace
 
-    prepared = compose_run(
-        seed=spec.seed,
-        horizon_s=spec.horizon_s,
-        profile=spec.profile,
-        plan=spec.plan,
-        ids_family=spec.ids_family,
-        overrides=dict(spec.overrides),
-        faults=spec.faults,
-    )
+    prepared = compose_run(spec)
     scenario = prepared.scenario
     tracing = trace.env_enabled()
     checker = checks.InvariantEngine() if checks.env_enabled() else None
-    if checker is not None:
-        # armed before the tracer emits anything: the online engine must
-        # observe the header (and the run span it opens) or the span
-        # discipline invariant would see an amputated stream
-        checks.install(checker)
-    tracer = None
+    tracer = meta = None
     if tracing or checker is not None:
         # the invariant engine rides on the record stream, so REPRO_CHECK
         # alone still installs a (writer-less, record-less) tracer
@@ -99,25 +86,11 @@ def _simulate(spec: RunSpec) -> dict:
         if spans:
             # the span emitter needs a header to open the run span; only
             # emitted under REPRO_SPANS so default summaries are unchanged
-            tracer.meta(
+            meta = dict(
                 seed=spec.seed, profile=spec.profile, plan=spec.plan,
                 horizon_s=spec.horizon_s,
             )
-        trace.install(tracer)
-    try:
-        scenario.run(spec.horizon_s)
-        if scenario.groundstation is not None:
-            # close the audit chain inside the traced window so the close
-            # entry is part of the record stream (and of any audit file)
-            scenario.groundstation.finalize()
-    finally:
-        if tracer is not None:
-            # ends any spans still open at the horizon (no-op without
-            # spans: there is no writer to flush in a pool worker)
-            tracer.close()
-            trace.uninstall()
-        if checker is not None:
-            checks.uninstall()
+    prepared.run(tracer, checker, meta)
 
     detection: Optional[dict] = None
     manager = prepared.score_manager()

@@ -7,15 +7,16 @@ a fully composed :class:`~repro.scenarios.worksite.WorksiteScenario` with
 its attack campaigns armed and (optionally) a standalone IDS family
 attached, without the caller ever touching enum or object types.
 
-``compose_run`` is the single entry point the runner worker calls; it is
-also usable directly for in-process experiments that want spec-driven
-scenario construction (the determinism regression tests do exactly that).
+``compose_run(spec)`` plus :meth:`PreparedRun.run` is the one run path:
+the CLI, the sweep worker, the fuzz evaluator, the replay oracle and the
+invariant self-test all compose and drive their runs through it, so a
+recorded stream and its replay can never be built two different ways.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.comms.crypto.secure_channel import SecurityProfile
 from repro.defense.ids.anomaly import AnomalyIds
@@ -23,7 +24,8 @@ from repro.defense.ids.manager import IdsManager
 from repro.defense.ids.signature import SignatureIds
 from repro.defense.ids.spec import ProtocolSpec, SpecificationIds
 from repro.faults.injector import FaultInjector
-from repro.faults.spec import FaultSchedule, schedule_from_primitives
+from repro.faults.spec import schedule_from_primitives
+from repro.invariants import engine as checks
 from repro.scenarios.campaigns import CAMPAIGN_BUILDERS, build_campaign
 from repro.scenarios.worksite import (
     ScenarioConfig,
@@ -31,6 +33,10 @@ from repro.scenarios.worksite import (
     build_worksite,
 )
 from repro.sim.weather import WeatherState
+from repro.telemetry import tracer as trace
+
+if TYPE_CHECKING:
+    from repro.runner.spec import RunSpec
 
 #: names a run spec may use for its defence posture
 PROFILES = ("defended", "undefended")
@@ -144,6 +150,7 @@ def _family_detectors(name: str, scenario: WorksiteScenario) -> List:
 class PreparedRun:
     """A composed scenario with its attack timeline armed and ready to run."""
 
+    spec: "RunSpec"
     scenario: WorksiteScenario
     windows: List[Tuple[str, float, float]]
     ids_manager: Optional[IdsManager]
@@ -154,38 +161,69 @@ class PreparedRun:
         """The manager whose alerts should be scored for this run."""
         return self.ids_manager or self.scenario.ids_manager
 
+    def run(
+        self,
+        tracer: Optional[trace.Tracer] = None,
+        checker: Optional[checks.InvariantEngine] = None,
+        meta: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        """Run to the spec's horizon with the given observers installed.
+
+        This is the one place observers are installed around a run, so
+        every recorded stream shares one ordering: the ``checker`` is
+        armed before ``meta`` is emitted as the header (it must observe
+        the run span the header opens); the ground-station audit chain is
+        closed inside the traced window (its close entry is part of the
+        stream and of any audit file); the tracer is closed while the
+        checker still observes (end-of-trace span ends are checked too);
+        both are uninstalled however the run ends.
+        """
+        if checker is not None:
+            checks.install(checker)
+        try:
+            if tracer is not None:
+                if meta is not None:
+                    tracer.meta(**meta)
+                trace.install(tracer)
+            self.scenario.run(self.spec.horizon_s)
+            if self.scenario.groundstation is not None:
+                self.scenario.groundstation.finalize()
+            if tracer is not None:
+                tracer.close()
+        finally:
+            if tracer is not None:
+                trace.uninstall()
+            if checker is not None:
+                checks.uninstall()
+
 
 def compose_run(
-    seed: int,
-    horizon_s: float,
-    profile: str = "defended",
-    plan: Sequence[Tuple[str, float, Optional[float]]] = (),
-    ids_family: Optional[str] = None,
-    overrides: Optional[Mapping[str, object]] = None,
-    faults: object = (),
+    spec: "RunSpec",
+    *,
+    gs_audit_path: Optional[str] = None,
+    metrics_interval_s: Optional[float] = None,
 ) -> PreparedRun:
-    """Compose and arm a worksite run from primitive values.
+    """Compose and arm the worksite run ``spec`` describes.
 
-    ``plan`` is the attack timeline: ``(campaign_name, start_s, duration_s)``
-    steps (duration ``None`` means open-ended).  An empty plan is the benign
-    baseline.  The returned :class:`PreparedRun` has every campaign armed;
-    the caller advances the clock with ``prepared.scenario.run(horizon_s)``.
-
-    ``faults`` is either a :class:`~repro.faults.spec.FaultSchedule` or the
-    primitive tuples a :class:`~repro.runner.spec.RunSpec` embeds
-    (``FaultSpec.to_primitives`` items).  An empty value leaves the run
-    entirely fault-free — no injector is built at all.
+    Every campaign in ``spec.plan`` is armed; a fault injector is built
+    only when ``spec.faults`` is non-empty.  ``gs_audit_path`` and
+    ``metrics_interval_s`` are run outputs, not simulation inputs, so they
+    stay out of the spec.  Drive the result with :meth:`PreparedRun.run`.
     """
-    for name, _, _ in plan:
+    for name, _, _ in spec.plan:
         if name not in CAMPAIGN_BUILDERS:
             raise ValueError(
                 f"unknown campaign {name!r}; "
                 f"available: {sorted(CAMPAIGN_BUILDERS)}"
             )
-    config = scenario_config_from_primitives(seed, profile, overrides)
+    config = scenario_config_from_primitives(
+        spec.seed, spec.profile, dict(spec.overrides)
+    )
+    config.gs_audit_path = gs_audit_path
+    config.metrics_interval_s = metrics_interval_s
     scenario = build_worksite(config)
     windows: List[Tuple[str, float, float]] = []
-    for name, start, duration in plan:
+    for name, start, duration in spec.plan:
         kwargs = {"start": float(start)}
         if duration is not None:
             kwargs["duration"] = float(duration)
@@ -198,17 +236,15 @@ def compose_run(
         campaign.arm()
         windows.extend(campaign.ground_truth_windows())
     manager = (
-        standalone_ids_family(ids_family, scenario) if ids_family else None
+        standalone_ids_family(spec.ids_family, scenario)
+        if spec.ids_family else None
     )
     injector = None
-    if faults:
-        schedule = (
-            faults if isinstance(faults, FaultSchedule)
-            else schedule_from_primitives(faults)
-        )
-        if schedule:
-            injector = FaultInjector(scenario, schedule).arm()
+    if spec.faults:
+        injector = FaultInjector(
+            scenario, schedule_from_primitives(spec.faults)
+        ).arm()
     return PreparedRun(
-        scenario=scenario, windows=windows, ids_manager=manager,
+        spec=spec, scenario=scenario, windows=windows, ids_manager=manager,
         fault_injector=injector,
     )

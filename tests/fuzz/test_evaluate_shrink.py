@@ -66,6 +66,24 @@ class TestEvaluate:
         assert trace_digest(a) != trace_digest(a[:1])
 
 
+class TestReplayable:
+    def test_groundstation_spec_replays_without_divergence(self):
+        # the fuzz run must close the audit chain inside the traced window,
+        # as every other run path does, or `check` flags a missing
+        # gs.audit close record
+        from repro.fuzz.evaluate import _run_records
+        from repro.invariants.oracle import diff_records, replay_records
+
+        spec = RunSpec.single(
+            "baseline", seed=5, horizon_s=60.0,
+            overrides={"groundstation_enabled": True},
+        )
+        records = _run_records(spec)
+        assert records[-1]["type"] == "gs.audit"
+        diff = diff_records(records, replay_records(records))
+        assert diff["divergences"] == 0, diff["first_divergences"]
+
+
 class TestSpecSize:
     def test_structure_dominates_size(self):
         assert spec_size(bloated_spec()) > spec_size(BASE)

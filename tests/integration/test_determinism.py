@@ -31,12 +31,8 @@ def _canonical(payload) -> bytes:
 
 
 def _compose_and_run(spec: RunSpec) -> dict:
-    prepared = compose_run(
-        seed=spec.seed, horizon_s=spec.horizon_s, profile=spec.profile,
-        plan=spec.plan, ids_family=spec.ids_family,
-        overrides=dict(spec.overrides),
-    )
-    prepared.scenario.run(spec.horizon_s)
+    prepared = compose_run(spec)
+    prepared.run()
     return prepared.scenario.summary()
 
 

@@ -29,6 +29,7 @@ SUBKEY_HITS_PER_DERIVATION_FLOOR = 10
 @pytest.fixture(scope="module")
 def attacked_run_snapshot():
     """Perf snapshot of one attacked worksite run, from a cold cache."""
+    from repro.runner.spec import RunSpec
     from repro.scenarios.factory import compose_run
 
     was_active = counters.ACTIVE
@@ -36,10 +37,10 @@ def attacked_run_snapshot():
     counters.reset()
     _cached_keystream.cache_clear()
     try:
-        prepared = compose_run(
-            seed=11, horizon_s=120.0, plan=(("rf_jamming", 20.0, 40.0),)
-        )
-        prepared.scenario.run(120.0)
+        prepared = compose_run(RunSpec.single(
+            "rf_jamming", seed=11, horizon_s=120.0, start=20.0, duration=40.0,
+        ))
+        prepared.run()
         yield counters.snapshot()
     finally:
         counters.enable(was_active)

@@ -1,5 +1,5 @@
 """Unit tests for the SQLite campaign store, the engine binding, the
-retry policy, and the dispatcher registry.
+retry policy, and the local pool dispatcher's construction.
 
 The store is the durable half of the self-healing campaign service: these
 tests pin down the schema contract (WAL mode, campaigns/cells/attempts),
@@ -13,14 +13,12 @@ import sqlite3
 import pytest
 
 from repro.runner import (
-    DISPATCHERS,
     CampaignStore,
     CellRetryPolicy,
     LocalPoolDispatcher,
     ResultStore,
     RunSpec,
     SweepRunner,
-    make_dispatcher,
     open_campaign_store,
 )
 
@@ -268,19 +266,11 @@ class TestCellRetryPolicy:
         assert policy.delay_s(tiny_spec(seed=2), 1) != first
 
 
-class TestDispatcherRegistry:
-    def test_local_dispatcher_is_registered(self):
-        assert DISPATCHERS["local"] is LocalPoolDispatcher
-
-    def test_make_dispatcher_builds_by_name(self):
-        dispatcher = make_dispatcher("local", 2, cell_timeout_s=5.0)
-        assert isinstance(dispatcher, LocalPoolDispatcher)
+class TestLocalPoolDispatcher:
+    def test_constructs_with_budget_and_timeout(self):
+        dispatcher = LocalPoolDispatcher(2, cell_timeout_s=5.0)
         assert dispatcher.workers == 2
         assert dispatcher.cell_timeout_s == 5.0
-
-    def test_make_dispatcher_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="unknown dispatcher"):
-            make_dispatcher("cloud", 2)
 
     def test_dispatcher_rejects_zero_workers(self):
         with pytest.raises(ValueError):

@@ -70,12 +70,13 @@ class TestCombined:
             build_campaign("combined", scenario, duration=60.0)
 
     def test_factory_fallback_absorbs_the_duration(self):
+        from repro.runner.spec import RunSpec
         from repro.scenarios.factory import compose_run
 
-        prepared = compose_run(
-            seed=5, horizon_s=60.0, profile="defended",
+        prepared = compose_run(RunSpec(
+            campaign="combined", seed=5, horizon_s=60.0,
             plan=(("combined", 10.0, 60.0),),
-        )
+        ))
         # the duration was dropped, not fatal: all four staged windows exist
         assert len(prepared.windows) == 4
 

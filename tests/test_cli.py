@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestParser:
@@ -128,6 +131,14 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "detection:" in out
+
+    def test_attack_combined_absorbs_the_duration(self, capsys):
+        # "combined" stages its own durations; --duration must not crash it
+        assert main([
+            "attack", "combined", "--seed", "3", "--minutes", "1",
+            "--start", "10", "--duration", "20",
+        ]) == 0
+        assert "detection:" in capsys.readouterr().out
 
     def test_assess(self, capsys):
         assert main(["assess"]) == 0
@@ -543,6 +554,16 @@ class TestFuzzResumeDamagedCorpus:
         assert code == 2
         assert f"fuzz error: {corpus.state_path}: not a JSON object" in err
 
+    def test_malformed_heatmap_cell(self, tmp_path, capsys):
+        corpus = self.corpus(tmp_path)
+        corpus.state["heatmap"]["baseline|none"] = 5
+        corpus.save()
+        code, err = self.resume(corpus, capsys)
+        assert code == 2
+        assert (f"fuzz error: {corpus.state_path}: heatmap cell "
+                f"'baseline|none': ") in err
+        assert "Traceback" not in err
+
     def test_torn_corpus_line_names_file_and_line(self, tmp_path, capsys):
         corpus = self.corpus(tmp_path)
         corpus.corpus_path.write_text('{"spec": {}}\n{"spec": {"seed"\n')
@@ -638,6 +659,34 @@ class TestCheckCommand:
         out = self._record(tmp_path, capsys)
         assert main(["check", "--trace", out, "--no-replay"]) == 0
         assert "replay" in capsys.readouterr().out.lower()
+
+    def _replays_clean(self, out, capsys):
+        report_path = out + ".report.json"
+        assert main(["check", "--trace", out, "--report", report_path]) == 0
+        capsys.readouterr()
+        report = json.loads(open(report_path).read())
+        assert report["replay"]["performed"] is True
+        assert report["replay"]["divergences"] == 0
+
+    def test_combined_campaign_with_duration_replays(self, tmp_path, capsys):
+        out = str(tmp_path / "trace.jsonl")
+        assert main([
+            "trace", "--seed", "11", "--minutes", "1",
+            "--campaign", "combined", "--start", "10", "--duration", "20",
+            "--out", out, "--no-report",
+        ]) == 0
+        self._replays_clean(out, capsys)
+
+    def test_jittered_fault_schedule_replays(self, tmp_path, capsys):
+        # the embedded spec must carry the jittered fault start times that
+        # actually ran, or the replay injects faults at different times
+        out = str(tmp_path / "trace.jsonl")
+        assert main([
+            "trace", "--seed", "11", "--minutes", "1",
+            "--faults", str(EXAMPLES / "faults_storm.toml"),
+            "--out", out, "--no-report",
+        ]) == 0
+        self._replays_clean(out, capsys)
 
     def test_missing_trace_is_a_usage_error(self, tmp_path, capsys):
         assert main(["check", "--trace",
